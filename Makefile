@@ -21,17 +21,20 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# race exercises the only packages that touch goroutines (the engine and
-# its parallel cluster, the network model, the machine's sharded run
-# mode, the sweep orchestrator's worker pool, and the distributed sweep
+# race exercises the packages that touch goroutines (the engine and its
+# parallel cluster, the network model, the machine's sharded run mode,
+# the sweep orchestrator's worker pool, and the distributed sweep
 # service) under the race detector, plus the memory-model fuzzing layer
-# whose runs ride the sweep worker pool and the memory-tier models that
-# ride the mesh's server primitives. Each engine shard is single-threaded
-# by contract, so the interesting schedules are in the lockstep handoff,
-# the window dispatch/barrier, the pool merge, and the coordinator's
-# lease machinery.
+# whose runs ride the sweep worker pool, the memory-tier models that ride
+# the mesh's server primitives, and the thread layers: proc's iter.Pull
+# coroutines and the applications and runtime library whose thread bodies
+# share Go state. Each engine shard is single-threaded by contract, so
+# the interesting schedules are in the coroutine switch (a thread body
+# must never run beside the engine or another body), the window
+# dispatch/barrier, the pool merge, and the coordinator's lease
+# machinery.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/...
+	$(GO) test -race ./internal/sim/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/... ./internal/proc/... ./internal/apps/... ./internal/shm/...
 
 # mc exhausts the model checker's full-depth configurations over the
 # whole protocol spectrum, with sleep-set partial-order reduction on

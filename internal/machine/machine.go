@@ -308,16 +308,24 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 	}
 	ok := m.Engine.RunUntil(finished, limit)
 	if !ok {
-		var stuck []mem.NodeID
-		for _, n := range m.Nodes {
-			if !n.Done() {
-				stuck = append(stuck, n.ID)
-			}
-		}
+		stuck := m.stopThreads()
 		return Result{}, fmt.Errorf("machine: run did not complete at cycle %d (stuck nodes: %v, pending events: %d)",
 			m.Engine.Now(), stuck, m.Engine.Pending())
 	}
 	return m.result(), nil
+}
+
+// stopThreads abandons the threads of a run that did not complete, so none
+// outlives the machine, and returns the nodes that had unfinished threads.
+func (m *Machine) stopThreads() []mem.NodeID {
+	var stuck []mem.NodeID
+	for _, n := range m.Nodes {
+		if !n.Done() {
+			stuck = append(stuck, n.ID)
+			n.Stop()
+		}
+	}
+	return stuck
 }
 
 func (m *Machine) result() Result {
@@ -404,12 +412,7 @@ func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval
 		// simulated time can no longer advance toward the limit.
 		deadlocked := m.Engine.Pending() == 0 && !finished()
 		if deadlocked || (limit != 0 && m.Engine.Now() >= limit && !finished()) {
-			var stuck []mem.NodeID
-			for _, n := range m.Nodes {
-				if !n.Done() {
-					stuck = append(stuck, n.ID)
-				}
-			}
+			stuck := m.stopThreads()
 			return Result{}, tl, fmt.Errorf("machine: profiled run did not complete at cycle %d (stuck nodes: %v)",
 				m.Engine.Now(), stuck)
 		}

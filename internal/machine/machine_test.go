@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -184,6 +186,58 @@ func TestRunLimitEnforced(t *testing.T) {
 	}, 10_000)
 	if err == nil {
 		t.Fatal("limit exceeded but no error")
+	}
+}
+
+// TestUnfinishedRunLeavesNoThreads checks that a run ending short of
+// completion releases every suspended thread: long-lived sweep workers run
+// many budget-exceeded and deadlocked simulations, and each would
+// otherwise strand one coroutine per unfinished thread.
+func TestUnfinishedRunLeavesNoThreads(t *testing.T) {
+	spin := func(env *proc.Env) {
+		for i := 0; i < 1000; i++ {
+			env.Compute(1000)
+		}
+	}
+	parallel := DefaultConfig(4, proto.FullMap())
+	parallel.SimWorkers = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  func(*Machine) error
+	}{
+		{"limit", DefaultConfig(4, proto.FullMap()), func(m *Machine) error {
+			_, err := m.Run(spin, 10_000)
+			return err
+		}},
+		{"deadlock", DefaultConfig(4, proto.FullMap()), func(m *Machine) error {
+			a := m.Mem.AllocOn(0, 1)
+			_, err := m.Run(func(env *proc.Env) { env.WaitChange(a, 0) }, 100_000)
+			return err
+		}},
+		{"profiled", DefaultConfig(4, proto.FullMap()), func(m *Machine) error {
+			_, _, err := m.RunProfiled(spin, 10_000, 1_000)
+			return err
+		}},
+		{"parallel", parallel, func(m *Machine) error {
+			_, err := m.Run(spin, 10_000)
+			return err
+		}},
+	} {
+		m := MustNew(tc.cfg)
+		before := runtime.NumGoroutine()
+		if err := tc.run(m); err == nil {
+			t.Fatalf("%s: unfinished run reported success", tc.name)
+		}
+		// Stopped threads have exited when Stop returns; the parallel
+		// engine's shard workers exit asynchronously after its own stop.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%s: %d goroutines before the run, %d after", tc.name, before, after)
+		}
 	}
 }
 

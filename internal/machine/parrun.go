@@ -203,14 +203,10 @@ func (m *Machine) runParallel(program func(*proc.Env), limit sim.Cycle) (Result,
 	}
 }
 
-// parStuck builds the deadlock/limit error, mirroring the serial path's.
+// parStuck stops the unfinished threads and builds the deadlock/limit
+// error, mirroring the serial path's.
 func (m *Machine) parStuck(cluster *sim.Cluster, limit sim.Cycle, pendingWork bool) error {
-	var stuck []mem.NodeID
-	for _, n := range m.Nodes {
-		if !n.Done() {
-			stuck = append(stuck, n.ID)
-		}
-	}
+	stuck := m.stopThreads()
 	now := limit
 	if !pendingWork {
 		now = 0

@@ -1,24 +1,33 @@
+//go:build go1.23
+
+// The build constraint gives this file the go1.23 language version that
+// iter.Pull needs while the module stays at go 1.22.
+
 // Package proc models the Sparcle processor of each node: an in-order
 // processor executing application threads, issuing memory operations
 // through the cache controller, fetching instructions through the combined
 // cache, and sharing its cycles with the protocol extension handlers that
 // trap onto it.
 //
-// Application threads are ordinary Go functions run as coroutines in
-// lockstep with the simulation: a thread blocks after issuing each
-// operation and resumes only when the simulator delivers its result, so
-// goroutine scheduling can never perturb simulated time. The simulator and
-// the threads alternate strictly; runs are deterministic.
+// Application threads are ordinary Go functions run as iter.Pull
+// coroutines driven by the simulation: the engine pulls a thread's next
+// operation, the thread runs until it issues one and then yields, and it
+// resumes only when the engine pulls again after delivering the result. A
+// thread body, its prologue included, therefore runs only inside an
+// engine event, in event order, and a coroutine switch never passes
+// through the Go scheduler, so scheduling can never perturb simulated time
+// and runs are deterministic at any GOMAXPROCS.
 //
 // A node normally runs one thread, as in all of the paper's experiments.
 // Sparcle also provides multiple hardware contexts for latency tolerance
 // (block multithreading: switch contexts on a remote miss); StartThreads
-// models that by running several lockstep threads per node, each paying a
+// models that by running several coroutine threads per node, each paying a
 // context-switch cost when its memory operation completes.
 package proc
 
 import (
 	"fmt"
+	"iter"
 
 	"swex/internal/mem"
 	"swex/internal/proto"
@@ -57,10 +66,16 @@ const ContextSwitchCycles = 14
 type thread struct {
 	node *Node
 	idx  int
-	req  chan request
-	resp chan uint64
 	done bool
 	fin  sim.Cycle
+
+	// The coroutine: pull resumes the body until its next operation,
+	// stop abandons it, yield is the body's side of the switch, and resp
+	// carries the result of the operation the body is suspended in.
+	pull  func() (request, bool)
+	stop  func()
+	yield func(request) bool
+	resp  uint64
 
 	// Instruction fetch state: the current code region the thread
 	// executes from, advanced one block per operation.
@@ -68,11 +83,10 @@ type thread struct {
 	codeBlocks int
 	codePos    int
 
-	// Preallocated continuation funcs for the per-operation path. The
-	// lockstep alternation guarantees at most one outstanding operation
-	// per thread, so one set of continuations (and the pending request
-	// and result they read) can be reused for every operation instead of
-	// closing over each one.
+	// Preallocated continuation funcs for the per-operation path. A
+	// suspended body has at most one outstanding operation, so one set of
+	// continuations (and the pending request and result they read) can be
+	// reused for every operation instead of closing over each one.
 	pending     request      // the operation currently executing
 	pendingVal  uint64       // result awaiting the context-switch resume
 	executeFn   func()       // runs execute(pending)
@@ -107,6 +121,11 @@ func (n *Node) Start(fn func(*Env)) { n.StartThreads(1, fn) }
 // StartThreads launches count hardware contexts, each running fn. With
 // more than one context the node tolerates memory latency by overlapping
 // threads' misses, at a context-switch cost per memory operation.
+//
+// No body runs before the engine is driven: each context's first
+// instruction runs in an event scheduled at the current cycle, and from
+// then on a body runs only while the engine has resumed it, one at a time
+// and in event order.
 func (n *Node) StartThreads(count int, fn func(*Env)) {
 	if len(n.threads) > 0 {
 		panic(fmt.Sprintf("proc: node %d started twice", n.ID))
@@ -114,19 +133,8 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 	if count < 1 {
 		count = 1
 	}
-	// The thread coroutines below are the simulator's one sanctioned use
-	// of goroutines and channels: the unbuffered req/resp pair enforces a
-	// strict alternation (the simulation goroutine blocks until the
-	// thread issues an operation, the thread blocks until the simulator
-	// replies), so the Go scheduler never has two runnable goroutines to
-	// choose between and cannot perturb simulated time.
 	for i := 0; i < count; i++ {
-		t := &thread{
-			node: n,
-			idx:  i,
-			req:  make(chan request), //lint:allow determinism(unbuffered lockstep handoff; see comment above)
-			resp: make(chan uint64),  //lint:allow determinism(unbuffered lockstep handoff; see comment above)
-		}
+		t := &thread{node: n, idx: i}
 		t.executeFn = func() { t.execute(t.pending) }
 		t.ifetchFn = func() { t.node.f.Eng(t.node.ID).OwnedAfter(int(t.node.ID), 1, nil, t.executeFn) }
 		t.memDoneFn = t.memDone
@@ -135,13 +143,41 @@ func (n *Node) StartThreads(count int, fn func(*Env)) {
 		t.resumeFn = func() { t.reply(t.pendingVal) }
 		n.threads = append(n.threads, t)
 		env := &Env{thread: t, P: n.f.Nodes()}
-		go func() { //lint:allow determinism(coroutine runs in strict alternation with the engine)
+		t.pull, t.stop = iter.Pull(func(yield func(request) bool) {
+			t.yield = yield
 			fn(env)
-			close(t.req) //lint:allow determinism(end-of-thread signal on the lockstep channel)
-		}()
+		})
 		eng := n.f.Eng(n.ID)
 		eng.OwnedAt(int(n.ID), eng.Now(), nil, t.next)
 	}
+}
+
+// stopped is the panic Env.do raises in a thread that Stop abandons,
+// unwinding its body; Stop recovers exactly this value.
+const stopped = "proc: thread stopped"
+
+// Stop abandons every unfinished thread, releasing its coroutine. A run
+// that ends short of completion (cycle budget exceeded, deadlock) calls it
+// so that no suspended thread outlives the machine. The node must not be
+// driven afterwards.
+func (n *Node) Stop() {
+	for _, t := range n.threads {
+		if !t.done {
+			t.halt()
+		}
+	}
+}
+
+// halt stops t's coroutine: a suspended body unwinds from its pending
+// operation by the stopped panic, which surfaces from t.stop.
+func (t *thread) halt() {
+	defer func() {
+		//lint:allow panic-hygiene(recovers only the stopped sentinel that unwinds an abandoned body)
+		if r := recover(); r != nil && r != stopped {
+			panic(r) //lint:allow panic-hygiene(a body's own panic is re-raised unchanged)
+		}
+	}()
+	t.stop()
 }
 
 // Threads reports how many contexts the node runs.
@@ -168,11 +204,9 @@ func (n *Node) FinishedAt() sim.Cycle {
 	return fin
 }
 
-// next receives the thread's next operation. It blocks the simulation
-// goroutine until the thread either issues an operation or returns; this
-// handoff is the lockstep that keeps runs deterministic.
+// next resumes the thread until it issues its next operation or returns.
 func (t *thread) next() {
-	r, ok := <-t.req //lint:allow determinism(lockstep handoff: the engine blocks here until the thread issues)
+	r, ok := t.pull()
 	if !ok {
 		t.done = true
 		t.fin = t.node.f.Eng(t.node.ID).Now()
@@ -242,7 +276,7 @@ func (t *thread) memDone(v uint64) {
 
 // reply resumes the thread with a result and fetches its next operation.
 func (t *thread) reply(v uint64) {
-	t.resp <- v //lint:allow determinism(lockstep handoff: resumes the one thread blocked in do)
+	t.resp = v
 	t.next()
 }
 
@@ -254,13 +288,15 @@ type Env struct {
 	P int
 }
 
-// do issues one operation through the lockstep handoff and blocks the
-// thread until the simulator replies. Every Env operation funnels through
-// here; it is the thread-side half of the alternation described in
-// StartThreads.
+// do issues one operation and suspends the thread until the simulator
+// replies. Every Env operation funnels through here; it is the thread-side
+// half of the coroutine switch described in the package comment.
 func (e *Env) do(r request) uint64 {
-	e.thread.req <- r      //lint:allow determinism(lockstep handoff: wakes the engine blocked in next)
-	return <-e.thread.resp //lint:allow determinism(lockstep handoff: blocks until the engine replies)
+	t := e.thread
+	if !t.yield(r) {
+		panic(stopped)
+	}
+	return t.resp
 }
 
 // ID returns the node this thread runs on.

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
 	"swex/internal/cache"
@@ -196,6 +197,28 @@ func TestEnvIDAndP(t *testing.T) {
 		if p != 4 {
 			t.Fatalf("P = %d, want 4", p)
 		}
+	}
+}
+
+// TestPrologueRunsInEventOrder pins that a thread body runs only when the
+// engine resumes it, prologue included: bodies that mutate shared Go state
+// before their first operation see each other in node order, whatever
+// GOMAXPROCS is.
+func TestPrologueRunsInEventOrder(t *testing.T) {
+	engine, _, ns := rig(t, 4, true)
+	var ids []mem.NodeID
+	for i := range ns {
+		ns[i].Start(func(env *Env) {
+			ids = append(ids, env.ID())
+			env.Compute(1)
+		})
+	}
+	if len(ids) != 0 {
+		t.Fatalf("bodies ran before the engine did: %v", ids)
+	}
+	runAll(t, engine, ns)
+	if want := []mem.NodeID{0, 1, 2, 3}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("ids = %v, want %v", ids, want)
 	}
 }
 

@@ -515,6 +515,14 @@ type retryTag struct {
 // live reports whether the retry would re-issue if it fired now.
 func (r *retryTag) live() bool { return r.cc.txns[r.b] == r.t }
 
+// Fire is the retry itself: the tag doubles as the event's Caller, so a
+// retry costs one allocation, not a tag plus a closure.
+func (r *retryTag) Fire() {
+	if r.live() {
+		r.cc.issue(r.b, r.t)
+	}
+}
+
 // onBusy retries the transaction after the configured delay.
 func (cc *CacheCtl) onBusy(m Msg) {
 	t, ok := cc.txns[m.Block]
@@ -534,11 +542,8 @@ func (cc *CacheCtl) onBusy(m Msg) {
 		})
 	}
 	tag := &retryTag{cc: cc, b: b, t: t}
-	cc.f.Eng(cc.node).OwnedAfter(int(cc.node), cc.f.Timing.RetryDelay, tag, func() {
-		if tag.live() {
-			cc.issue(b, t)
-		}
-	})
+	eng := cc.f.Eng(cc.node)
+	eng.OwnedAtCall(int(cc.node), eng.Now()+cc.f.Timing.RetryDelay, tag, tag)
 }
 
 // onInv invalidates the local copy and acknowledges: UPDATE with the data

@@ -18,8 +18,9 @@ import (
 // The log lives on the host side, not in simulated memory: recording an
 // observation costs no simulated cycles and generates no coherence
 // traffic, so instrumented programs behave identically to uninstrumented
-// ones. Entries are segregated per thread, and threads execute in
-// lockstep with the simulator, so recording is race-free by construction.
+// ones. Entries are segregated per thread, and threads run only inside
+// simulator events, one at a time, so recording is race-free by
+// construction.
 type ObsLog struct {
 	tpn int
 	obs [][]uint64

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"swex/internal/apps"
@@ -131,57 +132,65 @@ func (j Job) Key(salt string) (string, error) {
 	c := j.Config
 	s := c.Spec
 	t := c.Timing
+	// Each field renders as "|name=value" through typed writers, not
+	// fmt, so no field is boxed into an interface.
 	var b strings.Builder
-	put := func(field string, v any) {
-		fmt.Fprintf(&b, "|%s=%v", field, v)
+	var num [20]byte
+	name := func(field string) {
+		b.WriteByte('|')
+		b.WriteString(field)
+		b.WriteByte('=')
 	}
+	str := func(field, v string) { name(field); b.WriteString(v) }
+	flag := func(field string, v bool) { name(field); b.WriteString(strconv.FormatBool(v)) }
+	integer := func(field string, v int64) { name(field); b.Write(strconv.AppendInt(num[:0], v, 10)) }
 	b.WriteString(codeVersion)
-	put("salt", salt)
-	put("app", j.Program.App)
-	put("quick", j.Program.Quick)
-	put("set", j.Program.SetSize)
-	put("iters", j.Program.Iters)
-	put("litmus", j.Program.Litmus)
-	put("nodes", c.Nodes)
-	put("loseinv", c.LoseInv)
-	put("spec", s.Name)
-	put("hw", s.HWPointers)
-	put("fullmap", s.FullMap)
-	put("localbit", s.LocalBit)
-	put("ack", int(s.AckMode))
-	put("bcast", s.Broadcast)
-	put("swonly", s.SoftwareOnly)
-	put("dls", s.Directoryless)
-	put("soft", int(c.Software))
-	put("victim", c.VictimLines)
-	put("pifetch", c.PerfectIfetch)
-	put("batch", c.BatchReads)
-	put("parinv", c.ParallelInv)
-	put("mig", c.MigratoryDetect)
-	put("threads", c.ThreadsPerNode)
-	put("clines", c.CacheLines)
-	put("cways", c.CacheWays)
-	put("tmem", int64(t.MemLatency))
-	put("thome", int64(t.HomeProc))
-	put("tfill", int64(t.CacheFill))
-	put("tretry", int64(t.RetryDelay))
-	put("freq", t.ReqFlits)
-	put("fdata", t.DataFlits)
-	put("fctl", t.CtlFlits)
+	str("salt", salt)
+	str("app", j.Program.App)
+	flag("quick", j.Program.Quick)
+	integer("set", int64(j.Program.SetSize))
+	integer("iters", int64(j.Program.Iters))
+	str("litmus", j.Program.Litmus)
+	integer("nodes", int64(c.Nodes))
+	integer("loseinv", int64(c.LoseInv))
+	str("spec", s.Name)
+	integer("hw", int64(s.HWPointers))
+	flag("fullmap", s.FullMap)
+	flag("localbit", s.LocalBit)
+	integer("ack", int64(s.AckMode))
+	flag("bcast", s.Broadcast)
+	flag("swonly", s.SoftwareOnly)
+	flag("dls", s.Directoryless)
+	integer("soft", int64(c.Software))
+	integer("victim", int64(c.VictimLines))
+	flag("pifetch", c.PerfectIfetch)
+	flag("batch", c.BatchReads)
+	flag("parinv", c.ParallelInv)
+	flag("mig", c.MigratoryDetect)
+	integer("threads", int64(c.ThreadsPerNode))
+	integer("clines", int64(c.CacheLines))
+	integer("cways", int64(c.CacheWays))
+	integer("tmem", int64(t.MemLatency))
+	integer("thome", int64(t.HomeProc))
+	integer("tfill", int64(t.CacheFill))
+	integer("tretry", int64(t.RetryDelay))
+	integer("freq", int64(t.ReqFlits))
+	integer("fdata", int64(t.DataFlits))
+	integer("fctl", int64(t.CtlFlits))
 	mt := c.MemTier
-	put("mtkind", int(mt.Kind))
-	put("mthops", mt.Far.Hops)
-	put("mthopcyc", int64(mt.Far.HopCycles))
-	put("mtflitcyc", int64(mt.Far.FlitCycles))
-	put("mtflits", mt.Far.Flits)
-	put("mtmemcyc", int64(mt.Far.MemCycles))
-	put("mtdread", int64(mt.DRAMRead))
-	put("mtdwrite", int64(mt.DRAMWrite))
-	put("mtnread", int64(mt.NVMRead))
-	put("mtnwrite", int64(mt.NVMWrite))
-	put("mtdblocks", mt.DRAMBlocks)
-	put("mtpromote", mt.PromoteAfter)
-	put("limit", int64(j.Limit))
+	integer("mtkind", int64(mt.Kind))
+	integer("mthops", int64(mt.Far.Hops))
+	integer("mthopcyc", int64(mt.Far.HopCycles))
+	integer("mtflitcyc", int64(mt.Far.FlitCycles))
+	integer("mtflits", int64(mt.Far.Flits))
+	integer("mtmemcyc", int64(mt.Far.MemCycles))
+	integer("mtdread", int64(mt.DRAMRead))
+	integer("mtdwrite", int64(mt.DRAMWrite))
+	integer("mtnread", int64(mt.NVMRead))
+	integer("mtnwrite", int64(mt.NVMWrite))
+	integer("mtdblocks", int64(mt.DRAMBlocks))
+	integer("mtpromote", int64(mt.PromoteAfter))
+	integer("limit", int64(j.Limit))
 	return b.String(), nil
 }
 

@@ -11,7 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"swex/internal/litmus"
 	"swex/internal/machine"
+	"swex/internal/memtier"
 	"swex/internal/proto"
 	"swex/internal/trace"
 )
@@ -54,6 +56,42 @@ func TestKeyStableAndDistinct(t *testing.T) {
 		}
 		if salted == k1 {
 			t.Fatalf("job %d: salt did not change the key", i)
+		}
+	}
+}
+
+// TestKeyGolden pins the full canonical key of one WORKER job and one
+// litmus job. The key is the cache address of every stored result, so its
+// bytes may change only together with codeVersion.
+func TestKeyGolden(t *testing.T) {
+	worker := WorkerJob(8, 20, machine.Config{
+		Nodes: 64, Spec: proto.LimitLESS(5), Software: machine.TunedASM,
+		ThreadsPerNode: 2, CacheLines: 512, CacheWays: 2, PerfectIfetch: true,
+		Timing: proto.DefaultTiming(), MemTier: memtier.DefaultDisaggregated(),
+	})
+	worker.Limit = 5_000_000
+	h1ack, err := litmus.SpecByAlias("h1ack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := machine.DefaultConfig(4, h1ack)
+	lcfg.LoseInv = 2
+	sb := LitmusJob(litmus.Corpus()[0].Prog, lcfg)
+	for _, tc := range []struct {
+		name string
+		job  Job
+		salt string
+		want string
+	}{
+		{"worker", worker, "salt-1", "swex-sim-v4|salt=salt-1|app=WORKER|quick=false|set=8|iters=20|litmus=|nodes=64|loseinv=0|spec=DirnH5SNB|hw=5|fullmap=false|localbit=true|ack=0|bcast=false|swonly=false|dls=false|soft=1|victim=0|pifetch=true|batch=false|parinv=false|mig=false|threads=2|clines=512|cways=2|tmem=8|thome=4|tfill=2|tretry=12|freq=2|fdata=6|fctl=2|mtkind=1|mthops=4|mthopcyc=8|mtflitcyc=2|mtflits=8|mtmemcyc=40|mtdread=0|mtdwrite=0|mtnread=0|mtnwrite=0|mtdblocks=0|mtpromote=0|limit=5000000"},
+		{"litmus", sb, "", "swex-sim-v4|salt=|app=LITMUS|quick=false|set=0|iters=0|litmus=v2;t0:W0:1,R1;t1:W1:2,R0|nodes=4|loseinv=2|spec=DirnH1SNB,ACK|hw=1|fullmap=false|localbit=true|ack=2|bcast=false|swonly=false|dls=false|soft=0|victim=0|pifetch=false|batch=false|parinv=false|mig=false|threads=0|clines=0|cways=0|tmem=0|thome=0|tfill=0|tretry=0|freq=0|fdata=0|fctl=0|mtkind=0|mthops=0|mthopcyc=0|mtflitcyc=0|mtflits=0|mtmemcyc=0|mtdread=0|mtdwrite=0|mtnread=0|mtnwrite=0|mtdblocks=0|mtpromote=0|limit=0"},
+	} {
+		got, err := tc.job.Key(tc.salt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s key:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }
