@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke bench bench-sweep bench-memtier bench-parsim trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke parsim-smoke
+.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke bench bench-sweep bench-memtier trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
 
 all: build test
 
@@ -21,18 +21,16 @@ lint:
 vet:
 	$(GO) vet ./...
 
-# race exercises the packages that touch goroutines (the engine and its
-# parallel cluster, the network model, the machine's sharded run mode,
-# the sweep orchestrator's worker pool, and the distributed sweep
-# service) under the race detector, plus the memory-model fuzzing layer
-# whose runs ride the sweep worker pool, the memory-tier models that ride
-# the mesh's server primitives, and the thread layers: proc's iter.Pull
+# race runs the race detector over the simulation engine and network
+# model, the machine, the sweep orchestrator's worker pool and the
+# distributed sweep service, plus the memory-model fuzzing layer whose
+# runs ride the sweep worker pool, the memory-tier models that ride the
+# mesh's server primitives, and the thread layers: proc's iter.Pull
 # coroutines and the applications and runtime library whose thread bodies
-# share Go state. Each engine shard is single-threaded by contract, so
-# the interesting schedules are in the coroutine switch (a thread body
-# must never run beside the engine or another body), the window
-# dispatch/barrier, the pool merge, and the coordinator's lease
-# machinery.
+# share Go state. The simulation itself is single-threaded by contract,
+# so the interesting schedules are in the coroutine switch (a thread body
+# must never run beside the engine or another body), the pool merge, and
+# the coordinator's lease machinery.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/mesh/... ./internal/machine/... ./internal/memtier/... ./internal/sweep/... ./internal/swexd/... ./internal/litmus/... ./internal/proc/... ./internal/apps/... ./internal/shm/...
 
@@ -131,25 +129,6 @@ memtier-smoke:
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
 
-# parsim-smoke exercises the conservative parallel engine end to end: the
-# machine-level byte-identity suite (serial vs parallel at several worker
-# counts, the broken-lookahead negative fixture), the sweep-level identity
-# and cache-key-exclusion tests, the full quick exhibit matrix rendered
-# byte-identically at 2/4/8 engine workers, and the CLI knob itself.
-parsim-smoke:
-	$(GO) test ./internal/machine/ -run 'TestParallel|TestBrokenLookahead' -count=1
-	$(GO) test ./internal/sweep/ -run 'TestSimWorkersOutsideCacheKey|TestRunnerSimWorkersMatchesSerial' -count=1
-	$(GO) test . -run 'TestParallelExhibitsByteIdentical' -count=1
-	$(GO) run ./cmd/swex -quick -simworkers 4 scaling extrapolation >/dev/null
-
-# bench-parsim regenerates the committed parallel-engine baseline: the
-# cluster's window-dispatch overlap (dwell-based, so the overlap is
-# measurable even on a single-core container — the same honesty argument
-# as bench-sweep's pool-overlap rows) and the 256-node scaling-study
-# slice serial vs four engine workers on real simulation work.
-bench-parsim:
-	$(GO) test -run '^$$' -bench 'Parsim' -benchtime 1x -benchmem ./internal/sim/ . | $(GO) run ./cmd/swexbench -o BENCH_parsim.json
-
 # bench-memtier regenerates the committed memory-tier overhead baseline:
 # the directory memory-access hook when no tier is installed (must cost
 # ~nothing), each tier family's hot path, and the directoryless machine
@@ -158,11 +137,13 @@ bench-memtier:
 	$(GO) test -run '^$$' -bench 'MemTier|Directoryless' -benchtime 1x -benchmem . ./internal/memtier/ | $(GO) run ./cmd/swexbench -o BENCH_memtier.json
 
 # trace-smoke exercises the tracing pipeline end to end: a traced run must
-# export, export deterministically, and round-trip the profile view. The
+# export, export deterministically, and round-trip the profile view, and
+# the directoryless machine (-protocol dls) must trace too. The
 # per-package tests assert the details; this is the `make check` wiring.
 trace-smoke:
 	$(GO) test ./internal/trace/
 	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
 	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
+	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol dls -o /tmp/swextrace-smoke-dls.json
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke parsim-smoke
+check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke

@@ -18,13 +18,6 @@
 // core), and -cache persists finished simulation points to a
 // content-addressed result cache so re-runs and overlapping experiments
 // skip completed work. Output is byte-identical at any worker count.
-//
-// -simworkers additionally runs each simulation on the conservative
-// parallel engine (DESIGN.md §14) with that many shard workers. Results —
-// and therefore cache entries — are byte-identical to serial runs at any
-// value, so the knob only changes wall-clock time; it is deliberately not
-// part of the cache key. The big single-machine exhibits (scaling,
-// extrapolation) are where it pays off.
 package main
 
 import (
@@ -151,7 +144,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced problem sizes")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = one per core)")
-	simWorkers := flag.Int("simworkers", 0, "parallel engine workers per simulation (0 or 1 = serial; output is byte-identical at any value)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = in-memory only)")
 	flag.Usage = usage
 	flag.Parse()
@@ -161,7 +153,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sweeper, err := swex.NewSweeper(swex.SweeperConfig{Workers: *workers, SimWorkers: *simWorkers, CacheDir: *cacheDir})
+	sweeper, err := swex.NewSweeper(swex.SweeperConfig{Workers: *workers, CacheDir: *cacheDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
 		os.Exit(1)
@@ -218,7 +210,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: swex [-quick] [-workers N] [-simworkers N] [-cache DIR] <experiment>... | all\n\nexperiments:\n")
+	fmt.Fprintf(os.Stderr, "usage: swex [-quick] [-workers N] [-cache DIR] <experiment>... | all\n\nexperiments:\n")
 	var names []string
 	byName := map[string]string{}
 	for _, e := range experiments() {

@@ -31,16 +31,6 @@ type WatchdogTraps struct {
 	Grace     sim.Cycle
 	// Activations counts watchdog interventions per node.
 	Activations []uint64
-
-	// clock and deferBusy are the conservative-parallel hooks (DESIGN.md
-	// §14), wired by the machine. clock supplies the node's shard cycle
-	// in place of the master engine's; deferBusy journals handlerBusy
-	// additions so the finish cut can discard overrun charges —
-	// handlerBusy is the one Result-visible accumulator here (the rest
-	// of procState is scheduling state whose overrun mutations the run's
-	// end makes unobservable). Nil in serial mode.
-	clock     func(mem.NodeID) sim.Cycle
-	deferBusy func(node mem.NodeID, p *sim.Cycle, cost sim.Cycle)
 }
 
 type interval struct{ start, end sim.Cycle }
@@ -67,28 +57,9 @@ func NewWatchdogTraps(engine *sim.Engine, n int) *WatchdogTraps {
 	}
 }
 
-// EnableParallel installs the parallel-mode hooks (see the field docs).
-// Must be called before any simulated work.
-func (w *WatchdogTraps) EnableParallel(clock func(mem.NodeID) sim.Cycle,
-	deferBusy func(node mem.NodeID, p *sim.Cycle, cost sim.Cycle)) {
-	w.clock = clock
-	w.deferBusy = deferBusy
-}
-
-// now returns the cycle node's processor observes: the master engine's
-// clock in serial mode, the owning shard's in parallel mode.
-//
-//swex:hotpath
-func (w *WatchdogTraps) now(node mem.NodeID) sim.Cycle {
-	if w.clock == nil {
-		return w.engine.Now()
-	}
-	return w.clock(node)
-}
-
 // Schedule implements proto.TrapScheduler for handlers.
 func (w *WatchdogTraps) Schedule(node mem.NodeID, cost sim.Cycle) sim.Cycle {
-	now := w.now(node)
+	now := w.engine.Now()
 	p := &w.nodes[node]
 	if backlog := p.handlerFree; backlog > now && backlog-now > w.Threshold && p.hold <= backlog {
 		// Livelock suspected: no handler may start until Grace cycles
@@ -104,11 +75,7 @@ func (w *WatchdogTraps) Schedule(node mem.NodeID, cost sim.Cycle) sim.Cycle {
 		start = p.hold
 	}
 	p.handlerFree = start + cost
-	if w.deferBusy != nil {
-		w.deferBusy(node, &p.handlerBusy, cost)
-	} else {
-		p.handlerBusy += cost
-	}
+	p.handlerBusy += cost
 	p.pushInterval(interval{start, start + cost}, now)
 	return start + cost
 }
@@ -129,7 +96,7 @@ func (p *procState) pushInterval(iv interval, now sim.Cycle) {
 // as early as possible but is pushed past every handler window it would
 // overlap (traps preempt user code).
 func (w *WatchdogTraps) Reserve(node mem.NodeID, cost sim.Cycle) sim.Cycle {
-	now := w.now(node)
+	now := w.engine.Now()
 	p := &w.nodes[node]
 	start := now
 	if p.userFree > start {

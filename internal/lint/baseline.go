@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"os"
 	"sort"
 )
@@ -18,6 +20,29 @@ import (
 type Baseline struct {
 	// Sites maps ratchet key to the allowed number of allocation sites.
 	Sites map[string]int `json:"sites"`
+
+	// path and data are the file the baseline was loaded from, kept so
+	// stale-entry diagnostics can point at the entry's line.
+	path string
+	data []byte
+}
+
+// position locates key's entry in the loaded baseline file; a baseline
+// built in memory reports BaselineFile with no line.
+func (b *Baseline) position(key string) token.Position {
+	if b.path == "" {
+		return token.Position{Filename: BaselineFile}
+	}
+	kb, _ := json.Marshal(key)
+	i := bytes.Index(b.data, kb)
+	if i < 0 {
+		return token.Position{Filename: b.path}
+	}
+	return token.Position{
+		Filename: b.path,
+		Line:     1 + bytes.Count(b.data[:i], []byte("\n")),
+		Column:   i - bytes.LastIndexByte(b.data[:i], '\n'),
+	}
 }
 
 // BaselineFile is the canonical name of the committed ratchet file,
@@ -61,6 +86,7 @@ func LoadBaseline(path string) (*Baseline, error) {
 	if b.Sites == nil {
 		b.Sites = make(map[string]int)
 	}
+	b.path, b.data = path, data
 	return &b, nil
 }
 

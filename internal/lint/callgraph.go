@@ -361,19 +361,21 @@ func (g *CallGraph) Roots() []string {
 	return names
 }
 
-// hotDeclBodies returns, per package, the hot function bodies to scan for
-// allocation sites: reachable declarations and reachable closures, each
-// with its canonical (enclosing-declaration) site name.
+// hotBody is one function body to scan for allocation sites: a
+// declaration or a closure, with its canonical (enclosing-declaration)
+// site name.
 type hotBody struct {
 	pkg  *Package
 	name string
 	body *ast.BlockStmt
 }
 
-func (g *CallGraph) hotBodies() []hotBody {
+// bodies returns the analyzed function bodies in source order: only the
+// hot-reachable ones when hotOnly is set, every one otherwise.
+func (g *CallGraph) bodies(hotOnly bool) []hotBody {
 	var out []hotBody
 	for _, n := range g.nodes {
-		if n.hot && n.body != nil && n.pkg != nil {
+		if (n.hot || !hotOnly) && n.body != nil && n.pkg != nil {
 			out = append(out, hotBody{pkg: n.pkg, name: n.name, body: n.body})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"swex/internal/lint"
@@ -126,6 +127,40 @@ func TestBaselineRatchetFilter(t *testing.T) {
 	diags = lint.Run(cfg, []*lint.Package{pkg}, []lint.Analyzer{lint.HotAlloc{}})
 	if len(diags) != 3 {
 		t.Fatalf("over-baseline key must resurface all 3 chan sites, got %v", diags)
+	}
+}
+
+// TestBaselineStaleEntries checks that hotalloc reports baseline entries
+// allowing more sites than the source still has, names the key and the
+// fix, points at the entry's line in the loaded file, and leaves keys of
+// packages the run did not analyze alone.
+func TestBaselineStaleEntries(t *testing.T) {
+	pkg := loadHotallocFixture(t)
+	b := lint.ComputeBaseline(hotallocConfig(), []*lint.Package{pkg})
+	b.Sites["fixture/hotalloc.helper/make"]++
+	b.Sites["fixture/hotalloc.deleted/append"] = 2
+	b.Sites["fixture/other.unanalyzed/make"] = 1
+	path := filepath.Join(t.TempDir(), lint.BaselineFile)
+	if err := b.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	cfg := hotallocConfig()
+	var err error
+	if cfg.Baseline, err = lint.LoadBaseline(path); err != nil {
+		t.Fatalf("LoadBaseline: %v", err)
+	}
+	diags := lint.Run(cfg, []*lint.Package{pkg}, []lint.Analyzer{lint.HotAlloc{}})
+	if len(diags) != 2 {
+		t.Fatalf("want 2 stale entries (deleted, helper), got %v", diags)
+	}
+	for i, key := range []string{"fixture/hotalloc.deleted/append", "fixture/hotalloc.helper/make"} {
+		d := diags[i]
+		if !strings.Contains(d.Message, "stale baseline entry: key "+key) || !strings.Contains(d.Message, "-write-baseline") {
+			t.Errorf("diagnostic %d = %q, want a stale entry for %s suggesting -write-baseline", i, d.Message, key)
+		}
+		if d.Pos.Filename != path || d.Pos.Line < 3 {
+			t.Errorf("diagnostic %d at %v, want a line of %s", i, d.Pos, path)
+		}
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 //   - importing time or math/rand (use sim.Cycle and the explicitly
 //     seeded sim.Rand instead);
 //   - go statements, select statements, channel sends, receives, closes,
-//     and channel construction (the parallel engine's shard workers in
-//     internal/sim are the one sanctioned exception, documented with
-//     //lint:allow comments);
+//     and channel construction;
 //   - ranging over a map, unless the loop only collects the keys into a
 //     slice that is sorted by the immediately following statement (the
 //     canonical deterministic-iteration idiom, as in dir.Directory.ForEach).

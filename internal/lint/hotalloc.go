@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -41,9 +42,11 @@ func (HotAlloc) Name() string { return "hotalloc" }
 func (HotAlloc) Check(cfg *Config, pkg *Package) []Diagnostic { return nil }
 
 // CheckModule implements ModuleAnalyzer: report hot-path allocation
-// sites, filtered through the baseline ratchet when one is configured.
+// sites, filtered through the baseline ratchet when one is configured,
+// and the baseline entries that have gone stale.
 func (HotAlloc) CheckModule(cfg *Config, pkgs []*Package) []Diagnostic {
-	sites := HotAllocSites(cfg, pkgs)
+	g := BuildCallGraph(cfg, pkgs)
+	sites := allocSites(cfg, g, g.bodies(true))
 	var diags []Diagnostic
 	if cfg.Baseline == nil {
 		for _, s := range sites {
@@ -71,6 +74,42 @@ func (HotAlloc) CheckModule(cfg *Config, pkgs []*Package) []Diagnostic {
 		for _, s := range ss {
 			diags = append(diags, s.diagnostic(allowed, len(ss)))
 		}
+	}
+	return append(diags, staleEntries(cfg, g, pkgs)...)
+}
+
+// staleEntries reports baseline keys that allow more sites than their
+// function's source still contains, so deleted allocation sites cannot
+// linger in the ratchet. Sites are counted hot or not: whether a
+// function is hot depends on callers in other packages, which a run over
+// some packages cannot see. (A site that survives but went cold is left
+// to TestBaselineRatchet, which scans the whole module.) Only keys of
+// analyzed packages are checked, so a run over one package says nothing
+// about the others' entries.
+func staleEntries(cfg *Config, g *CallGraph, pkgs []*Package) []Diagnostic {
+	present := make(map[string]int)
+	for _, s := range allocSites(cfg, g, g.bodies(false)) {
+		present[s.Key]++
+	}
+	keys := make([]string, 0, len(cfg.Baseline.Sites))
+	for k := range cfg.Baseline.Sites {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var diags []Diagnostic
+	for _, k := range keys {
+		allowed, n := cfg.Baseline.Sites[k], present[k]
+		if n >= allowed || !slices.ContainsFunc(pkgs, func(p *Package) bool {
+			return strings.HasPrefix(k, p.Path+".")
+		}) {
+			continue
+		}
+		diags = append(diags, Diagnostic{
+			Pos:      cfg.Baseline.position(k),
+			Analyzer: "hotalloc",
+			Message: fmt.Sprintf("stale baseline entry: key %s: baseline %d, source has %d (run swexlint -write-baseline)",
+				k, allowed, n),
+		})
 	}
 	return diags
 }
@@ -105,8 +144,14 @@ func (s AllocSite) diagnostic(allowed, found int) Diagnostic {
 // build on it.
 func HotAllocSites(cfg *Config, pkgs []*Package) []AllocSite {
 	g := BuildCallGraph(cfg, pkgs)
+	return allocSites(cfg, g, g.bodies(true))
+}
+
+// allocSites scans the given bodies of the HotReportPaths packages and
+// returns their allocation sites in position order.
+func allocSites(cfg *Config, g *CallGraph, bodies []hotBody) []AllocSite {
 	var sites []AllocSite
-	for _, hb := range g.hotBodies() {
+	for _, hb := range bodies {
 		if hb.pkg == nil || !matchAny(cfg.HotReportPaths, hb.pkg.Path) {
 			continue
 		}

@@ -3,7 +3,6 @@ package machine
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"swex/internal/mem"
 	"swex/internal/proc"
@@ -199,8 +198,6 @@ func TestUnfinishedRunLeavesNoThreads(t *testing.T) {
 			env.Compute(1000)
 		}
 	}
-	parallel := DefaultConfig(4, proto.FullMap())
-	parallel.SimWorkers = 2
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -219,22 +216,13 @@ func TestUnfinishedRunLeavesNoThreads(t *testing.T) {
 			_, _, err := m.RunProfiled(spin, 10_000, 1_000)
 			return err
 		}},
-		{"parallel", parallel, func(m *Machine) error {
-			_, err := m.Run(spin, 10_000)
-			return err
-		}},
 	} {
 		m := MustNew(tc.cfg)
 		before := runtime.NumGoroutine()
 		if err := tc.run(m); err == nil {
 			t.Fatalf("%s: unfinished run reported success", tc.name)
 		}
-		// Stopped threads have exited when Stop returns; the parallel
-		// engine's shard workers exit asynchronously after its own stop.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
+		// Stopped threads have exited when Stop returns.
 		if after := runtime.NumGoroutine(); after != before {
 			t.Errorf("%s: %d goroutines before the run, %d after", tc.name, before, after)
 		}

@@ -21,15 +21,6 @@ var (
 	// selects nothing and almost certainly means a sign bug at the call
 	// site.
 	ErrLoseInv = errors.New("machine: LoseInv must be non-negative")
-	// ErrSimWorkers flags a negative worker count. Zero and one both mean
-	// the serial engine.
-	ErrSimWorkers = errors.New("machine: SimWorkers must be non-negative")
-	// ErrParallelUnsupported flags a feature the conservative parallel
-	// engine excludes (DESIGN.md §14): tracing and custom software read
-	// or write machine-wide state mid-run, and fault injection counts
-	// messages machine-wide at send time — all of which parallel mode
-	// defers to barriers. Run those configurations serially.
-	ErrParallelUnsupported = errors.New("machine: feature requires the serial engine (SimWorkers <= 1)")
 )
 
 // Validate reports configuration errors before any machine state is
@@ -44,19 +35,6 @@ func (c Config) Validate() error {
 	}
 	if c.LoseInv < 0 {
 		return fmt.Errorf("%w: got %d", ErrLoseInv, c.LoseInv)
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("%w: got %d", ErrSimWorkers, c.SimWorkers)
-	}
-	if c.SimWorkers > 1 {
-		switch {
-		case c.Trace != nil:
-			return fmt.Errorf("%w: Trace", ErrParallelUnsupported)
-		case c.CustomSoftware != nil:
-			return fmt.Errorf("%w: CustomSoftware", ErrParallelUnsupported)
-		case c.LoseInv > 0:
-			return fmt.Errorf("%w: LoseInv", ErrParallelUnsupported)
-		}
 	}
 	return c.MemTier.Validate()
 }

@@ -49,12 +49,11 @@ func SegBase(n NodeID) Addr { return Addr(n) * SegWords }
 // allocator per node segment. It holds word values only; all timing lives
 // in the cache and protocol models.
 //
-// The store is sharded by home segment — one map per node, indexed by
-// HomeOf — so the parallel engine's shards never share a map: at run
-// time a block's words are touched only by its home node's protocol
-// handlers (the directory serializes all access to a block through its
-// home), and the home runs on exactly one shard. The sharding is free
-// for the serial engine: HomeOf is a divide by a constant.
+// The store is split by home segment — one map per node, indexed by
+// HomeOf, a divide by a constant — matching how the protocol reaches it:
+// at run time a block's words are touched only by its home node's
+// protocol handlers (the directory serializes all access to a block
+// through its home).
 type Memory struct {
 	nodes int
 	data  []map[Addr]uint64 // per-home-segment word store

@@ -163,8 +163,7 @@ func abs(v int) int {
 // an invalidation of the same block must arrive first (both are sent by
 // the same home node, so their delivery events also share a key-counter
 // stream and keep their send order even on a cycle tie). The delivery
-// event is keyed by the sender (sim.Engine.OwnedAtCall), which is what
-// lets the parallel barrier merge reproduce delivery order exactly.
+// event is keyed by the sender (sim.Engine.OwnedAtCall).
 //
 //swex:hotpath
 func (n *Network) Send(src, dst, size int, extra sim.Cycle, deliver func()) sim.Cycle {
@@ -195,41 +194,10 @@ func (n *Network) SendCall(src, dst, size int, extra sim.Cycle, tag any, deliver
 	return done
 }
 
-// Lookahead returns the minimum number of cycles any message needs from
-// its send call to its delivery: the cheaper of a self-send (one flit of
-// serialization plus the loopback) and a single-hop remote send (one
-// flit serialized out, one hop of flight, one flit serialized in). It is
-// the conservative parallel engine's window width — no event fired at
-// cycle t can cause a delivery before t+Lookahead, so shards running a
-// window [t, t+Lookahead) cannot miss cross-shard messages. A zero
-// lookahead (the model checker's frozen-time configuration) means the
-// network cannot bound cross-shard causality and the machine must run
-// serially; machine.Config.Validate enforces that.
-func (n *Network) Lookahead() sim.Cycle {
-	local := n.cfg.FlitCycles + n.cfg.LocalCycles
-	remote := 2*n.cfg.FlitCycles + n.cfg.HopCycles
-	if local < remote {
-		return local
-	}
-	return remote
-}
-
-// reserve claims the transmit and receive queue slots for one message and
-// returns its delivery cycle, charging all accounting.
+// reserve claims the transmit and receive queue slots for one message
+// sent now and returns its delivery cycle, charging all accounting.
 func (n *Network) reserve(src, dst, size int, extra sim.Cycle, tag any) sim.Cycle {
-	return n.ReserveAt(n.engine.Now(), src, dst, size, extra, tag)
-}
-
-// ReserveAt is reserve with an explicit send cycle instead of the
-// engine's clock, and no delivery scheduling: it claims the queue slots,
-// charges all accounting, and returns the delivery cycle. The parallel
-// barrier merge calls it while replaying staged sends in the canonical
-// (cycle, event-key) order — at merge time the master engine's
-// clock is parked at the window boundary, but each staged send must
-// reserve as of the cycle its shard issued it, or queue waits would
-// differ from the serial run. Serial sends go through reserve, which is
-// ReserveAt at Now.
-func (n *Network) ReserveAt(now sim.Cycle, src, dst, size int, extra sim.Cycle, tag any) sim.Cycle {
+	now := n.engine.Now()
 	if size < 1 {
 		size = 1
 	}

@@ -222,7 +222,7 @@ func (cc *CacheCtl) Ifetch(pc mem.Addr, done func()) {
 			Cat: trace.CatProc, Op: trace.OpIfetch, Name: "ifetch",
 		})
 	}
-	cc.f.Eng(cc.node).OwnedAfter(int(cc.node), lat, blockTag{label: fmt.Sprintf("ifetch:%d:blk%d", cc.node, b), b: b}, func() {
+	cc.f.Engine.OwnedAfter(int(cc.node), lat, blockTag{label: fmt.Sprintf("ifetch:%d:blk%d", cc.node, b), b: b}, func() {
 		cc.install(cache.Line{Block: b, State: cache.Shared})
 		done()
 	})
@@ -355,7 +355,7 @@ func (cc *CacheCtl) dlsPoll(t *watchTag, done func(v uint64)) {
 		if delay == 0 {
 			delay = 1
 		}
-		cc.f.Eng(cc.node).OwnedAfter(int(cc.node), delay, t, func() { cc.dlsPoll(t, done) })
+		cc.f.Engine.OwnedAfter(int(cc.node), delay, t, func() { cc.dlsPoll(t, done) })
 	}})
 }
 
@@ -398,7 +398,7 @@ func (cc *CacheCtl) wakeWatchers(b mem.Block) {
 	delete(cc.watchers, b)
 	for _, w := range ws {
 		w := w
-		cc.f.Eng(cc.node).OwnedAfter(int(cc.node), 1,
+		cc.f.Engine.OwnedAfter(int(cc.node), 1,
 			blockTag{label: fmt.Sprintf("watch:%d:a%d:o%d", cc.node, w.addr, w.old), b: b},
 			func() { cc.Watch(w.addr, w.old, w.done) })
 	}
@@ -433,7 +433,7 @@ func (cc *CacheCtl) install(l cache.Line) {
 	if !was {
 		return
 	}
-	cc.f.count(cc.node, "cache.evictions")
+	cc.f.Counters.Inc("cache.evictions")
 	if evicted.Dirty {
 		cc.f.Send(Msg{
 			Kind: MsgWB, Src: cc.node, Dst: mem.HomeOfBlock(evicted.Block),
@@ -530,8 +530,8 @@ func (cc *CacheCtl) onBusy(m Msg) {
 		return // transaction already satisfied (should not happen)
 	}
 	t.retries++
-	cc.f.statU64(cc.node, &cc.Retries, 1)
-	cc.f.count(cc.node, "cache.busy_retries")
+	cc.Retries++
+	cc.f.Counters.Inc("cache.busy_retries")
 	b := m.Block
 	if cc.f.Sink != nil && t.id != 0 {
 		now := cc.f.Engine.Now()
@@ -542,7 +542,7 @@ func (cc *CacheCtl) onBusy(m Msg) {
 		})
 	}
 	tag := &retryTag{cc: cc, b: b, t: t}
-	eng := cc.f.Eng(cc.node)
+	eng := cc.f.Engine
 	eng.OwnedAtCall(int(cc.node), eng.Now()+cc.f.Timing.RetryDelay, tag, tag)
 }
 

@@ -114,7 +114,7 @@ func (h *HomeCtl) Deliver(m Msg) {
 		panic(fmt.Sprintf("proto: node %d received home message for block homed on %d",
 			h.node, mem.HomeOfBlock(m.Block)))
 	}
-	e := h.f.Eng(h.node)
+	e := h.f.Engine
 	start := h.srv.Reserve(e.Now(), h.f.Timing.HomeProc)
 	if h.f.Sink != nil {
 		h.f.Sink.Emit(trace.Event{
@@ -274,15 +274,15 @@ func (h *HomeCtl) onDirect(m Msg) {
 // identify the handler for the trace (r's open transaction owns the
 // handler span).
 func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim.Cycle {
-	h.f.statU64(h.node, &h.Traps, 1)
-	h.f.count(h.node, "home.traps")
+	h.Traps++
+	h.f.Counters.Inc("home.traps")
 	h.f.traceTrap(int(h.node), "handler", cost)
 	done := h.f.Traps.Schedule(h.node, cost)
 	if h.f.Sink != nil {
 		h.f.emitHandler(h.node, t.b, t.r, name, cost, done)
 	}
 	t.then = then
-	h.f.Eng(h.node).OwnedAtCall(int(h.node), done, t, t)
+	h.f.Engine.OwnedAtCall(int(h.node), done, t, t)
 	return done
 }
 
@@ -294,7 +294,7 @@ func (h *HomeCtl) onRead(m Msg, e *dir.Entry) {
 		_, writeQueued := h.pendingWrite[m.Block]
 		if h.f.BatchReads && e.State == dir.SWait && h.swReads[m.Block] > 0 &&
 			!writeQueued && h.swReads[m.Block] < maxBatchedReads &&
-			h.f.Eng(h.node).Now() < h.batchUntil[m.Block] {
+			h.f.Engine.Now() < h.batchUntil[m.Block] {
 			// A read-overflow handler is already running for this
 			// block: piggyback on it instead of bouncing the request.
 			h.swRead(m.Block, e, m.Src, nil)
@@ -359,7 +359,7 @@ func (h *HomeCtl) addReader(b mem.Block, e *dir.Entry, r mem.NodeID) {
 		// count).
 		e.BroadcastBit = true
 		e.SwCount++
-		h.foldSharers(e)
+		e.NoteSharers()
 		h.sendData(MsgRDATA, r, b)
 		return
 	}
@@ -421,16 +421,16 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	// rather than queueing behind unrelated handlers. The processor time
 	// is still accounted to the node.
 	cost := h.f.Soft.ReadBatched(b, r)
-	h.f.count(h.node, "home.batched_reads")
+	h.f.Counters.Inc("home.batched_reads")
 	h.f.Traps.Schedule(h.node, cost)
-	h.f.statU64(h.node, &h.Traps, 1)
+	h.Traps++
 	h.chainEnd[b] += cost
 	if h.f.Sink != nil {
 		h.f.emitHandler(h.node, b, r, "read-batched", cost, h.chainEnd[b])
 	}
 	t := h.grabTrap(trapReadBatch, b, r)
 	t.then = finish
-	h.f.Eng(h.node).OwnedAtCall(int(h.node), h.chainEnd[b], t, t)
+	h.f.Engine.OwnedAtCall(int(h.node), h.chainEnd[b], t, t)
 }
 
 // h0Read services a read under the software-only directory.
@@ -567,7 +567,7 @@ func (h *HomeCtl) hwWrite(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	for _, t := range targets {
 		h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 	}
-	h.f.countN(h.node, "home.hw_invalidations", uint64(len(targets)))
+	h.f.Counters.Addc("home.hw_invalidations", uint64(len(targets)))
 	h.releaseInv(targets)
 }
 
@@ -600,7 +600,7 @@ func (h *HomeCtl) swWriteFault(b mem.Block, e *dir.Entry, r mem.NodeID) {
 		for _, t := range targets {
 			h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 		}
-		h.f.countN(h.node, "home.sw_invalidations", uint64(len(targets)))
+		h.f.Counters.Addc("home.sw_invalidations", uint64(len(targets)))
 		h.releaseInv(targets)
 		if spec.AckMode == AckSW {
 			// Software fields every acknowledgment: the block stays
@@ -691,7 +691,7 @@ func (h *HomeCtl) grantWrite(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	e.Req = 0
 	e.ReqWrite = false
 	e.AckCount = 0
-	h.foldSharers(e)
+	e.NoteSharers()
 	h.sendData(MsgWDATA, r, b)
 }
 
@@ -823,24 +823,13 @@ func (h *HomeCtl) onWB(m Msg, e *dir.Entry) {
 	}
 }
 
-// foldSharers folds the entry's current sharer count into its worker-set
-// high-water mark. It routes through the fabric's statistics path rather
-// than dir.Entry.NoteSharers so that in parallel mode the max is
-// journaled: overrun updates past the finish cut are discarded, keeping
-// the Figure 6 histogram identical to a serial run.
-//
-//swex:hotpath
-func (h *HomeCtl) foldSharers(e *dir.Entry) {
-	h.f.statMax(h.node, &e.MaxSharers, e.Sharers())
-}
-
 // noteSharers refreshes the block's worker-set maximum. When a software
 // extension exists, hardware pointers may name nodes that are also in the
 // software list (a drained reader that was invalidated, evicted, and
 // re-read), so the count is the deduplicated union, not the sum.
 func (h *HomeCtl) noteSharers(b mem.Block, e *dir.Entry) {
 	if !e.SwExt || h.f.Soft == nil {
-		h.foldSharers(e)
+		e.NoteSharers()
 		return
 	}
 	seen := make(map[mem.NodeID]bool)
@@ -855,7 +844,9 @@ func (h *HomeCtl) noteSharers(b mem.Block, e *dir.Entry) {
 	if e.State == dir.Exclusive || e.State == dir.Recall {
 		n++
 	}
-	h.f.statMax(h.node, &e.MaxSharers, n)
+	if n > e.MaxSharers {
+		e.MaxSharers = n
+	}
 }
 
 // entry returns the block's directory entry, creating it with the
@@ -883,7 +874,7 @@ func (h *HomeCtl) onRel(m Msg, e *dir.Entry) {
 		if e.State == dir.Shared && e.Ptrs.Count() == 0 && !e.LocalBit && !e.SwExt {
 			e.State = dir.Uncached
 		}
-		h.f.count(h.node, "home.checkins")
+		h.f.Counters.Inc("home.checkins")
 	case dir.Exclusive, dir.AckWait, dir.Recall, dir.SWait:
 		// Mid-transaction check-in: drop; the copy was already
 		// invalidated or is about to be.

@@ -359,3 +359,37 @@ func TestCycleSeconds(t *testing.T) {
 		t.Fatalf("33M cycles = %v seconds, want 1.0", got)
 	}
 }
+
+// TestOwnedKeysMatchAcrossEngines pins the owned keying discipline: with a
+// stream slice installed, the key an event gets depends only on its owner
+// and how many events that owner has scheduled, so same-cycle events fire
+// in owner order whatever order the owners scheduled them in.
+func TestOwnedKeysMatchAcrossEngines(t *testing.T) {
+	record := func(schedule func(e *Engine, owner int, fired *[]int32)) []int32 {
+		var fired []int32
+		streams := make([]uint64, 2)
+		e := NewEngine()
+		e.SetStreams(streams)
+		schedule(e, 0, &fired)
+		schedule(e, 1, &fired)
+		e.Run(0)
+		return fired
+	}
+	sched := func(e *Engine, owner int, fired *[]int32) {
+		for i := 0; i < 3; i++ {
+			e.OwnedAt(owner, Cycle(10+i), nil, func() {
+				*fired = append(*fired, int32(owner))
+			})
+		}
+	}
+	serial := record(sched)
+	want := []int32{0, 1, 0, 1, 0, 1} // per cycle: owner 0's event before owner 1's
+	if len(serial) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(serial), len(want))
+	}
+	for i := range want {
+		if serial[i] != want[i] {
+			t.Fatalf("serial firing owners = %v, want %v", serial, want)
+		}
+	}
+}

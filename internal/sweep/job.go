@@ -27,8 +27,8 @@ const LitmusName = litmus.AppName
 // satisfy a new sweep. Purely additive changes (new fields captured into
 // Result) also require a bump, since cached objects would lack them.
 // swex-sim-v4: canonical (owner, cnt) event keys replaced issue-order
-// sequencing for same-cycle events (DESIGN.md §14), shifting cycle
-// counts by under a percent on every exhibit.
+// sequencing for same-cycle events (see the sim package comment),
+// shifting cycle counts by under a percent on every exhibit.
 const codeVersion = "swex-sim-v4"
 
 // ProgramRef names a workload canonically, so a job can be hashed,
