@@ -4,221 +4,242 @@
 //
 // Usage:
 //
-//	swex [-quick] <experiment> [<experiment>...]
-//	swex [-quick] all
+//	swex [-quick] [-json] [-workers N] [-cache DIR] <exhibit>... | all
+//	swex -list [-quick] <exhibit>... | all
+//	swex -status -cache DIR
+//	swex -cache DIR compact
 //
-// Experiments: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 scaling extrapolation tiers
-// Ablations:   ablate-localbit ablate-software ablate-broadcast ablate-batch
+// Exhibits are the sweep matrices of swex.Matrices() (table1 .. tiers)
+// followed by the ablation studies (ablate-localbit .. ablate-mthread);
+// run swex without arguments for the list.
 //
 // -quick runs reduced problem sizes (seconds instead of minutes) that
-// preserve every qualitative shape.
+// preserve every qualitative shape. -json prints the assembled data of
+// the named exhibits as one JSON object instead of the rendered tables.
 //
-// All experiments execute through one shared sweep runner (see
+// The sweep matrices execute through one shared sweep runner (see
 // internal/sweep): -workers bounds the worker pool (default: one per
 // core), and -cache persists finished simulation points to a
-// content-addressed result cache so re-runs and overlapping experiments
-// skip completed work. Output is byte-identical at any worker count.
+// content-addressed result cache, so re-runs and overlapping exhibits
+// skip completed work and a killed run resumes where it stopped. Stdout
+// is a pure function of the exhibits named: byte-identical at any worker
+// count, cold or warm. Each exhibit's cost goes to stderr — jobs,
+// simulations executed, jobs served from the cache, and wall time.
+//
+// -list prints each matrix job's content hash and description without
+// running anything (the matrix as the cache will see it; ablations run no
+// sweep jobs and list nothing). -status summarizes a cache directory's
+// manifest journal — distinct completed and failed jobs, with the
+// failures' journaled errors (stacks included) — and exits non-zero when
+// the journal records failures, so scripts can gate on a clean sweep. The
+// compact subcommand rewrites the manifest journal down to one record per
+// live entry.
+//
+// To run the matrices on a swexd coordinator's workers instead of in
+// process, use swexd submit; its stdout is byte-identical.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"swex"
+	"swex/internal/sweep"
 )
 
-type experiment struct {
-	name    string
-	caption string
-	// run returns the rendered text and the raw data (for -json).
-	run func(swex.Options) (string, any, error)
-}
-
-func experiments() []experiment {
-	return []experiment{
-		{"table1", "average software-extension latencies (C vs assembly)", func(o swex.Options) (string, any, error) {
-			d, err := swex.Table1(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"table2", "median handler cycle breakdown", func(o swex.Options) (string, any, error) {
-			d, err := swex.Table2(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.String(), d, nil
-		}},
-		{"table3", "application characteristics and sequential times", func(o swex.Options) (string, any, error) {
-			rows, err := swex.Table3(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return swex.Table3Table(rows).String(), rows, nil
-		}},
-		{"fig2", "WORKER protocol performance vs worker-set size", func(o swex.Options) (string, any, error) {
-			d, err := swex.Figure2(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Figure().String(), d, nil
-		}},
-		{"fig3", "TSP cache-configuration study (instruction/data thrashing)", func(o swex.Options) (string, any, error) {
-			d, err := swex.Figure3(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"fig4", "application speedups across the protocol spectrum", func(o swex.Options) (string, any, error) {
-			d, err := swex.Figure4(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"fig5", "TSP on 256 nodes", func(o swex.Options) (string, any, error) {
-			d, err := swex.Figure5(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"fig6", "EVOLVE worker-set histogram", func(o swex.Options) (string, any, error) {
-			d, err := swex.Figure6(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"scaling", "TSP speedup vs machine size across the spectrum", func(o swex.Options) (string, any, error) {
-			d, err := swex.ScalingStudy(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Figure().String(), d, nil
-		}},
-		{"extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5", func(o swex.Options) (string, any, error) {
-			d, err := swex.Extrapolation(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)", func(o swex.Options) (string, any, error) {
-			d, err := swex.Tiers(o)
-			if err != nil {
-				return "", nil, err
-			}
-			return d.Table().String(), d, nil
-		}},
-		{"ablate-localbit", "one-bit local pointer on/off", ablation("ablation: local bit disabled", swex.AblateLocalBit)},
-		{"ablate-software", "flexible C vs hand-tuned assembly handlers", ablation("ablation: hand-tuned assembly handlers", swex.AblateSoftware)},
-		{"ablate-broadcast", "DirnH1SNB,LACK vs Dir1H1SB,LACK", ablation("ablation: broadcast instead of software directory", swex.AblateBroadcast)},
-		{"ablate-batch", "read-burst batching enhancement", ablation("ablation: read-burst batching enabled", swex.AblateBatchReads)},
-		{"ablate-parinv", "sequential vs parallel invalidation transmission", ablation("ablation: parallel invalidation transmission", swex.AblateParallelInv)},
-		{"ablate-dataspec", "block-by-block protocol reconfiguration", ablation("ablation: EVOLVE fitness table promoted to full-map", swex.AblateDataSpecific)},
-		{"ablate-migratory", "migratory-data adaptation (dynamic detection)", ablation("ablation: migratory-data read-for-ownership", swex.AblateMigratory)},
-		{"ablate-assoc", "victim cache vs 2-way set-associative cache", ablation("ablation: associativity remedies for I/D thrashing", swex.AblateAssociativity)},
-		{"ablate-cico", "Check-In/Check-Out program annotations", ablation("ablation: CICO check-in after reads", swex.AblateCICO)},
-		{"ablate-mthread", "block multithreading (latency tolerance)", ablation("ablation: 4 hardware contexts per node", swex.AblateMultithreading)},
+// ablations are the exhibits outside the sweep registry: each runs custom
+// programs directly on a machine, so they carry no Jobs.
+func ablations() []swex.Matrix {
+	return []swex.Matrix{
+		ablation("ablate-localbit", "one-bit local pointer on/off", "ablation: local bit disabled", swex.AblateLocalBit),
+		ablation("ablate-software", "flexible C vs hand-tuned assembly handlers", "ablation: hand-tuned assembly handlers", swex.AblateSoftware),
+		ablation("ablate-broadcast", "DirnH1SNB,LACK vs Dir1H1SB,LACK", "ablation: broadcast instead of software directory", swex.AblateBroadcast),
+		ablation("ablate-batch", "read-burst batching enhancement", "ablation: read-burst batching enabled", swex.AblateBatchReads),
+		ablation("ablate-parinv", "sequential vs parallel invalidation transmission", "ablation: parallel invalidation transmission", swex.AblateParallelInv),
+		ablation("ablate-dataspec", "block-by-block protocol reconfiguration", "ablation: EVOLVE fitness table promoted to full-map", swex.AblateDataSpecific),
+		ablation("ablate-migratory", "migratory-data adaptation (dynamic detection)", "ablation: migratory-data read-for-ownership", swex.AblateMigratory),
+		ablation("ablate-assoc", "victim cache vs 2-way set-associative cache", "ablation: associativity remedies for I/D thrashing", swex.AblateAssociativity),
+		ablation("ablate-cico", "Check-In/Check-Out program annotations", "ablation: CICO check-in after reads", swex.AblateCICO),
+		ablation("ablate-mthread", "block multithreading (latency tolerance)", "ablation: 4 hardware contexts per node", swex.AblateMultithreading),
 	}
 }
 
-func ablation(title string, fn func(swex.Options) ([]swex.AblationRow, error)) func(swex.Options) (string, any, error) {
-	return func(o swex.Options) (string, any, error) {
-		rows, err := fn(o)
-		if err != nil {
-			return "", nil, err
+func ablation(name, caption, title string, fn func(swex.Options) ([]swex.AblationRow, error)) swex.Matrix {
+	return swex.Matrix{
+		Name:    name,
+		Caption: caption,
+		Render: func(o swex.Options) (string, error) {
+			rows, err := fn(o)
+			if err != nil {
+				return "", err
+			}
+			return swex.AblationTable(title, rows).String(), nil
+		},
+		Data: func(o swex.Options) (any, error) { return fn(o) },
+	}
+}
+
+// exhibits is every exhibit in "all" order: the sweep matrices, then the
+// ablations.
+func exhibits() []swex.Matrix { return append(swex.Matrices(), ablations()...) }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams; it returns the exit
+// status (0 ok, 1 failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("swex", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced problem sizes")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
+	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per core)")
+	cacheDir := fs.String("cache", "", "content-addressed result cache directory (empty = in-memory only)")
+	list := fs.Bool("list", false, "print each matrix's jobs (hash and description) without running")
+	status := fs.Bool("status", false, "summarize the cache manifest journal and exit (non-zero if failures are journaled)")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "swex: %v\n", err)
+		return 1
+	}
+
+	if *status || (fs.NArg() == 1 && fs.Arg(0) == "compact") {
+		if *cacheDir == "" {
+			fmt.Fprintln(stderr, "swex: -status and compact need -cache DIR")
+			return 2
 		}
-		return swex.AblationTable(title, rows).String(), rows, nil
+		c, err := sweep.OpenCache(*cacheDir)
+		if err != nil {
+			return fail(err)
+		}
+		defer c.Close()
+		if !*status {
+			records, err := c.Compact()
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintf(stdout, "cache %s: manifest compacted to %d record(s)\n", *cacheDir, records)
+			return 0
+		}
+		st := c.Status()
+		fmt.Fprintf(stdout, "cache %s: %d job(s) done, %d failed\n", *cacheDir, st.Done, st.Failed)
+		for _, f := range st.Failures {
+			fmt.Fprintf(stdout, "  FAILED %s\n    %s\n", f.Key, f.Err)
+		}
+		if st.Failed > 0 {
+			return 1
+		}
+		return 0
 	}
-}
 
-func main() {
-	quick := flag.Bool("quick", false, "run reduced problem sizes")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0 = one per core)")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = in-memory only)")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	selected, err := selectExhibits(fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "swex: %v\n\n", err)
+		fs.Usage()
+		return 2
+	}
+	opts := swex.Options{Quick: *quick}
+
+	if *list {
+		for _, m := range selected {
+			if m.Jobs == nil {
+				continue
+			}
+			fmt.Fprintf(stdout, "# %s: %s\n", m.Name, m.Caption)
+			for _, job := range m.Jobs(opts) {
+				key, err := job.Key("")
+				if err != nil {
+					return fail(fmt.Errorf("%s: %w", m.Name, err))
+				}
+				fmt.Fprintf(stdout, "%s  %s\n", sweep.HashKey(key)[:16], job)
+			}
+		}
+		return 0
 	}
 
 	sweeper, err := swex.NewSweeper(swex.SweeperConfig{Workers: *workers, CacheDir: *cacheDir})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer sweeper.Close()
+	opts.Sweep = sweeper
 
-	all := experiments()
-	byName := map[string]experiment{}
-	for _, e := range all {
-		byName[e.name] = e
-	}
-
-	var selected []experiment
-	if len(args) == 1 && args[0] == "all" {
-		selected = all
-	} else {
-		for _, a := range args {
-			e, ok := byName[a]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "swex: unknown experiment %q\n\n", a)
-				usage()
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	opts := swex.Options{Quick: *quick, Sweep: sweeper}
 	results := map[string]any{}
-	for _, e := range selected {
+	for _, m := range selected {
 		start := time.Now()
-		out, data, err := e.run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swex: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
+		before := sweeper.TotalExecs()
+		var out string
+		var err error
 		if *asJSON {
-			results[e.name] = data
-			fmt.Fprintf(os.Stderr, "swex: %s done (%.1fs)\n", e.name, time.Since(start).Seconds())
+			results[m.Name], err = m.Data(opts)
+		} else {
+			out, err = m.Render(opts)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", m.Name, err))
+		}
+		if !*asJSON {
+			fmt.Fprintf(stdout, "== %s: %s\n\n%s\n", m.Name, m.Caption, out)
+		}
+		elapsed := time.Since(start).Seconds()
+		if m.Jobs == nil {
+			fmt.Fprintf(stderr, "swex: %s: %.1fs\n", m.Name, elapsed)
 			continue
 		}
-		fmt.Printf("== %s: %s (%.1fs)\n\n%s\n", e.name, e.caption, time.Since(start).Seconds(), out)
+		jobs := len(m.Jobs(opts))
+		executed := sweeper.TotalExecs() - before
+		fmt.Fprintf(stderr, "swex: %s: %d job(s), %d executed, %d from cache, %.1fs on %d worker(s)\n",
+			m.Name, jobs, executed, jobs-executed, elapsed, sweeper.Workers())
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "swex: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "swex: %d simulation(s) executed on %d worker(s)\n",
-		sweeper.TotalExecs(), sweeper.Workers())
+	return 0
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: swex [-quick] [-workers N] [-cache DIR] <experiment>... | all\n\nexperiments:\n")
-	var names []string
-	byName := map[string]string{}
-	for _, e := range experiments() {
-		names = append(names, e.name)
-		byName[e.name] = e.caption
+// selectExhibits resolves the argument list ("all" or exhibit names).
+func selectExhibits(args []string) ([]swex.Matrix, error) {
+	all := exhibits()
+	if len(args) == 1 && args[0] == "all" {
+		return all, nil
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %-16s %s\n", n, byName[n])
+	if len(args) == 0 {
+		return nil, fmt.Errorf("no exhibits named (want exhibit names or \"all\")")
 	}
+	var selected []swex.Matrix
+	for _, a := range args {
+		i := slices.IndexFunc(all, func(m swex.Matrix) bool { return m.Name == a })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown exhibit %q", a)
+		}
+		selected = append(selected, all[i])
+	}
+	return selected, nil
+}
+
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, `usage: swex [-quick] [-json] [-workers N] [-cache DIR] <exhibit>... | all
+       swex -list [-quick] <exhibit>... | all
+       swex -status -cache DIR
+       swex -cache DIR compact
+
+exhibits:
+`)
+	for _, m := range exhibits() {
+		fmt.Fprintf(w, "  %-16s %s\n", m.Name, m.Caption)
+	}
+	fmt.Fprintf(w, "\nflags:\n")
+	fs.PrintDefaults()
 }

@@ -10,14 +10,17 @@
 //	swexd submit -coordinator http://host:7009 [-quick] [-salt S] [-quiet] <matrix>... | all
 //	swexd status -coordinator http://host:7009 [-json] [sweep-id]
 //
-// Matrices: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 scaling
+// Matrices are the exhibits of swex.Matrices(); run swexd with no
+// arguments for the list.
 //
 // serve hosts the coordinator: the HTTP/JSON front end (POST /sweeps,
 // GET /sweeps/{id}, streaming NDJSON at /sweeps/{id}/events, /workers,
 // /vars) and the workers' RPC endpoint share one listener. worker
 // attaches an execution worker; run any number, anywhere the coordinator
 // is reachable. submit renders the named exhibit matrices through the
-// coordinator — output is byte-identical to a local swexsweep run.
+// coordinator — output is byte-identical to a local swex run — and
+// reports on stderr how many jobs the cluster executed and how many its
+// shared cache served.
 // status with no argument lists sweeps, workers, and counters; with a
 // sweep ID it prints that sweep's per-job state. -json switches either
 // form to newline-delimited JSON (one record per sweep or per job).
@@ -147,17 +150,32 @@ func submit(args []string) error {
 	opts := swex.Options{Quick: *quick, Sweep: client}
 	for _, m := range selected {
 		start := time.Now()
+		before := executions(client)
 		out, err := m.Render(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.Name, err)
 		}
 		fmt.Printf("== %s: %s\n\n%s\n", m.Name, m.Caption, out)
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "swexd: %s: %d job(s), %.1fs via %s\n",
-				m.Name, len(m.Jobs(opts)), time.Since(start).Seconds(), *coordinator)
+			jobs := int64(len(m.Jobs(opts)))
+			executed := executions(client) - before
+			fmt.Fprintf(os.Stderr, "swexd: %s: %d job(s), %d executed, %d from cache, %.1fs via %s\n",
+				m.Name, jobs, executed, jobs-executed, time.Since(start).Seconds(), *coordinator)
 		}
 	}
 	return nil
+}
+
+// executions samples the coordinator's execution counter, so "executed"
+// counts simulations anywhere in the cluster and "from cache" the hits
+// against its shared store. It reads 0 when the coordinator is
+// unreachable; the submit that follows surfaces the real error.
+func executions(client *swexd.Client) int64 {
+	vars, err := client.Vars(context.Background())
+	if err != nil {
+		return 0
+	}
+	return vars["executions"]
 }
 
 // status prints a coordinator's state: every sweep, worker, and counter,

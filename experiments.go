@@ -23,9 +23,9 @@ import (
 // runner and shapes the results into the paper's table or figure. Builders
 // and assemblers share the same loop structure, so results are consumed by
 // index. Running several experiments through one shared Runner (as cmd/swex
-// and cmd/swexsweep do) deduplicates the simulation points they share —
-// for example the sequential baselines common to Table 3, Figure 4,
-// Figure 5, and the scaling study run once, not four times.
+// does) deduplicates the simulation points they share — for example the
+// sequential baselines common to Table 3, Figure 4, Figure 5, and the
+// scaling study run once, not four times.
 
 // JobRunner is where an experiment's sweep jobs execute: the in-process
 // Sweeper, or a swexd coordinator client that leases the jobs out to
@@ -950,13 +950,13 @@ func (d *TiersData) Table() *report.Table {
 // ------------------------------------------------------ matrix registry
 
 // Matrix names one sweep-backed experiment: a job-matrix builder paired
-// with the assembler/renderer that turns its results into the paper's
-// exhibit. The registry is what lets the sweep and distributed front ends
-// (cmd/swexsweep, cmd/swexd) resolve exhibits by name and serialize their
-// job matrices for submission — every Jobs() element is a canonical,
-// hashable, JSON-serializable sweep.Job.
+// with the assembler that turns its results into the paper's exhibit. The
+// registry is what lets the front ends (cmd/swex, cmd/swexd) resolve
+// exhibits by name and serialize their job matrices for submission —
+// every Jobs() element is a canonical, hashable, JSON-serializable
+// sweep.Job.
 type Matrix struct {
-	// Name is the CLI-facing exhibit name ("table1" .. "scaling").
+	// Name is the CLI-facing exhibit name ("table1" .. "tiers").
 	Name string
 	// Caption is the one-line human description of the exhibit.
 	Caption string
@@ -966,6 +966,28 @@ type Matrix struct {
 	// exhibit. The output is a pure function of the job results, so it is
 	// byte-identical wherever and in whatever order the jobs executed.
 	Render func(Options) (string, error)
+	// Data runs the matrix like Render but returns the assembled value
+	// (the exhibit's XxxData or rows) for machine-readable output.
+	Data func(Options) (any, error)
+}
+
+// exhibit builds a registry entry from an experiment's job builder, its
+// assembler, and the renderer of the assembled value.
+func exhibit[D any](name, caption string, jobs func(Options) []SweepJob,
+	assemble func(Options) (D, error), render func(D) string) Matrix {
+	return Matrix{
+		Name:    name,
+		Caption: caption,
+		Jobs:    jobs,
+		Render: func(o Options) (string, error) {
+			d, err := assemble(o)
+			if err != nil {
+				return "", err
+			}
+			return render(d), nil
+		},
+		Data: func(o Options) (any, error) { return assemble(o) },
+	}
 }
 
 // Matrices returns every sweep-backed exhibit in paper order: the three
@@ -973,94 +995,28 @@ type Matrix struct {
 // and the machine-spectrum (memory-tier) study.
 func Matrices() []Matrix {
 	return []Matrix{
-		{"table1", "average software-extension latencies (C vs assembly)", Table1Jobs,
-			func(o Options) (string, error) {
-				d, err := Table1(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"table2", "median handler cycle breakdown", Table2Jobs,
-			func(o Options) (string, error) {
-				d, err := Table2(o)
-				if err != nil {
-					return "", err
-				}
-				return d.String(), nil
-			}},
-		{"table3", "application characteristics and sequential times", Table3Jobs,
-			func(o Options) (string, error) {
-				rows, err := Table3(o)
-				if err != nil {
-					return "", err
-				}
-				return Table3Table(rows).String(), nil
-			}},
-		{"fig2", "WORKER protocol performance vs worker-set size", Figure2Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure2(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Figure().String(), nil
-			}},
-		{"fig3", "TSP cache-configuration study (instruction/data thrashing)", Figure3Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure3(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig4", "application speedups across the protocol spectrum", Figure4Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure4(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig5", "TSP on 256 nodes", Figure5Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure5(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"fig6", "EVOLVE worker-set histogram", Figure6Jobs,
-			func(o Options) (string, error) {
-				d, err := Figure6(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"scaling", "TSP speedup vs machine size across the spectrum", ScalingJobs,
-			func(o Options) (string, error) {
-				d, err := ScalingStudy(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Figure().String(), nil
-			}},
-		{"extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5", ExtrapolationJobs,
-			func(o Options) (string, error) {
-				d, err := Extrapolation(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
-		{"tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)", TiersJobs,
-			func(o Options) (string, error) {
-				d, err := Tiers(o)
-				if err != nil {
-					return "", err
-				}
-				return d.Table().String(), nil
-			}},
+		exhibit("table1", "average software-extension latencies (C vs assembly)", Table1Jobs,
+			Table1, func(d *Table1Data) string { return d.Table().String() }),
+		exhibit("table2", "median handler cycle breakdown", Table2Jobs,
+			Table2, (*Table2Data).String),
+		exhibit("table3", "application characteristics and sequential times", Table3Jobs,
+			Table3, func(rows []Table3Row) string { return Table3Table(rows).String() }),
+		exhibit("fig2", "WORKER protocol performance vs worker-set size", Figure2Jobs,
+			Figure2, func(d *Figure2Data) string { return d.Figure().String() }),
+		exhibit("fig3", "TSP cache-configuration study (instruction/data thrashing)", Figure3Jobs,
+			Figure3, func(d *Figure3Data) string { return d.Table().String() }),
+		exhibit("fig4", "application speedups across the protocol spectrum", Figure4Jobs,
+			Figure4, func(d *Figure4Data) string { return d.Table().String() }),
+		exhibit("fig5", "TSP on 256 nodes", Figure5Jobs,
+			Figure5, func(d *Figure5Data) string { return d.Table().String() }),
+		exhibit("fig6", "EVOLVE worker-set histogram", Figure6Jobs,
+			Figure6, func(d *Figure6Data) string { return d.Table().String() }),
+		exhibit("scaling", "TSP speedup vs machine size across the spectrum", ScalingJobs,
+			ScalingStudy, func(d *ScalingData) string { return d.Figure().String() }),
+		exhibit("extrapolation", "TSP at 256/512/1024 nodes, beyond Figure 5", ExtrapolationJobs,
+			Extrapolation, func(d *ExtrapolationData) string { return d.Table().String() }),
+		exhibit("tiers", "WORKER across memory-system families (flat, disaggregated, NVM, directoryless)", TiersJobs,
+			Tiers, func(d *TiersData) string { return d.Table().String() }),
 	}
 }
 

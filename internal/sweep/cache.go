@@ -179,7 +179,7 @@ func (c *Cache) Put(key string, res Result) error {
 
 // PutFailure journals a job failure. Failures are never served from the
 // cache — they re-execute on resume — but the journal records them so a
-// sweep's post-mortem (swexsweep -status) can list what went wrong.
+// sweep's post-mortem (swex -status) can list what went wrong.
 func (c *Cache) PutFailure(key string, jobErr error) error {
 	hash := HashKey(key)
 	msg := ""

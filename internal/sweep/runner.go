@@ -7,8 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	//lint:allow determinism(wall budgets bound real execution time of runaway jobs; simulated results never depend on it)
-	"time"
 
 	"swex/internal/machine"
 	"swex/internal/sim"
@@ -21,26 +19,10 @@ type Config struct {
 	// CacheDir, when non-empty, opens a content-addressed disk cache
 	// there; completed jobs persist and sweeps resume across processes.
 	CacheDir string
-	// Salt is extra key material mixed into every job hash, for isolating
-	// experimental branches that share a cache directory.
-	Salt string
 	// CycleBudget is the default per-job simulated-cycle limit applied
 	// when Job.Limit is zero (0 = unbounded). A job exceeding its budget
 	// becomes a failure record, not a hung sweep.
 	CycleBudget sim.Cycle
-	// WallBudget, when positive, marks any job whose execution took
-	// longer than this wall-clock duration as failed. It cannot preempt a
-	// running simulation (use CycleBudget for that); it exists to flag
-	// pathological configurations in long unattended sweeps. Wall-budget
-	// failures depend on machine speed and are therefore the one
-	// intentionally nondeterministic feature of the runner; leave it zero
-	// when byte-identical sweep reports matter.
-	WallBudget time.Duration
-	// Retries is how many times a failed job is re-executed before its
-	// failure is recorded (panics included; the simulator is
-	// deterministic, so this matters mainly for wall-budget and
-	// resource-exhaustion failures).
-	Retries int
 	// OnExecute, when set, is called once per actual simulation execution
 	// (not per cache hit), before the run starts. It is the test hook for
 	// asserting execution counts; it runs on worker goroutines and must
@@ -144,7 +126,7 @@ func (j Job) String() string {
 // with the input. Identical jobs are executed once and fanned out, results
 // are merged in submission order, and the output is a pure function of the
 // job list — byte-identical at any worker count, with or without a warm
-// cache — except where WallBudget introduces machine-speed failures.
+// cache.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 	outcomes := make([]Outcome, len(jobs))
 
@@ -160,7 +142,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 	byHash := make(map[string]*task)
 	for i, job := range jobs {
 		outcomes[i].Job = job
-		key, err := job.Key(r.cfg.Salt)
+		key, err := job.Key("")
 		if err != nil {
 			outcomes[i].Err = err
 			continue
@@ -197,7 +179,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) []Outcome {
 			o.Err = err
 			return
 		}
-		res, err := r.executeWithRetry(t.job, t.key)
+		res, err := r.execute(t.job, t.key)
 		if err != nil {
 			o.Err = err
 			if r.cache != nil {
@@ -259,24 +241,8 @@ func (r *Runner) lookup(key, hash string) (Result, bool) {
 	return res, ok
 }
 
-// executeWithRetry applies the retry policy around single executions.
-func (r *Runner) executeWithRetry(job Job, key string) (Result, error) {
-	var lastErr error
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
-		res, err := r.executeOnce(job, key)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-	}
-	if r.cfg.Retries > 0 {
-		lastErr = fmt.Errorf("%w (after %d attempts)", lastErr, r.cfg.Retries+1)
-	}
-	return Result{}, lastErr
-}
-
-// executeOnce runs one simulation under panic recovery and the budgets.
-func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
+// execute runs one simulation under panic recovery and the cycle budget.
+func (r *Runner) execute(job Job, key string) (res Result, err error) {
 	defer func() {
 		//lint:allow panic-hygiene(a panicking OnExecute hook must become a failure record, not a crashed sweep; the stack is preserved in the error)
 		if rec := recover(); rec != nil {
@@ -291,21 +257,7 @@ func (r *Runner) executeOnce(job Job, key string) (res Result, err error) {
 	if r.cfg.OnExecute != nil {
 		r.cfg.OnExecute(job)
 	}
-
-	var start time.Time
-	if r.cfg.WallBudget > 0 {
-		start = time.Now()
-	}
-	res, err = Execute(job, r.cfg.CycleBudget)
-	if err != nil {
-		return Result{}, err
-	}
-	if r.cfg.WallBudget > 0 {
-		if elapsed := time.Since(start); elapsed > r.cfg.WallBudget {
-			return Result{}, fmt.Errorf("sweep: job exceeded wall budget (%v > %v)", elapsed, r.cfg.WallBudget)
-		}
-	}
-	return res, nil
+	return Execute(job, r.cfg.CycleBudget)
 }
 
 // Execute runs one job's simulation to completion and captures its
@@ -350,7 +302,7 @@ func Execute(job Job, defaultLimit sim.Cycle) (res Result, err error) {
 // ExecCount reports how many times the job's simulation actually ran under
 // this runner (cache hits do not count). Invalid jobs report zero.
 func (r *Runner) ExecCount(job Job) int {
-	key, err := job.Key(r.cfg.Salt)
+	key, err := job.Key("")
 	if err != nil {
 		return 0
 	}

@@ -397,39 +397,6 @@ func TestPanicBecomesFailureRecord(t *testing.T) {
 	}
 }
 
-func TestRetryPolicy(t *testing.T) {
-	job := smallMatrix(1)[0]
-	var calls atomic.Int64
-	r := MustNewRunner(Config{
-		Workers: 1,
-		Retries: 2,
-		OnExecute: func(Job) {
-			if calls.Add(1) < 3 {
-				panic("transient test failure")
-			}
-		},
-	})
-	defer r.Close()
-	if _, err := r.Run(context.Background(), []Job{job}); err != nil {
-		t.Fatalf("job must succeed within the retry budget: %v", err)
-	}
-	if got := r.ExecCount(job); got != 3 {
-		t.Fatalf("retry policy ran the job %d times, want 3", got)
-	}
-
-	// Exhausted retries surface the last error, annotated with the count.
-	r2 := MustNewRunner(Config{
-		Workers:   1,
-		Retries:   1,
-		OnExecute: func(Job) { panic("permanent test failure") },
-	})
-	defer r2.Close()
-	_, err := r2.Run(context.Background(), []Job{job})
-	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
-		t.Fatalf("exhausted retries not annotated: %v", err)
-	}
-}
-
 func TestCycleBudget(t *testing.T) {
 	job := smallMatrix(1)[0]
 	r := MustNewRunner(Config{Workers: 1, CycleBudget: 10})

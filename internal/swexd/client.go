@@ -22,8 +22,9 @@ import (
 type Client struct {
 	// Base is the coordinator's base URL, e.g. "http://host:7009".
 	Base string
-	// Salt is extra key material mixed into every job hash, matching the
-	// in-process runner's Config.Salt.
+	// Salt is extra key material the coordinator mixes into every job
+	// hash (SubmitRequest.Salt), isolating experimental branches that
+	// share its cache. The in-process runner keys jobs unsalted.
 	Salt string
 	// HTTP overrides the transport (nil = http.DefaultClient).
 	HTTP *http.Client

@@ -192,8 +192,8 @@ func NewTraceRing(limit int) *TraceCollector { return trace.NewRing(limit) }
 // a serial run at any worker count. See internal/sweep.
 type Sweeper = sweep.Runner
 
-// SweeperConfig selects worker count, cache directory, budgets, and the
-// retry policy of a Sweeper.
+// SweeperConfig selects the worker count, cache directory, and
+// simulated-cycle budget of a Sweeper.
 type SweeperConfig = sweep.Config
 
 // SweepJob is one point of an experiment matrix: a canonical, hashable
