@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"runtime"
 	"testing"
 
 	"swex/internal/mem"
@@ -218,13 +217,15 @@ func TestUnfinishedRunLeavesNoThreads(t *testing.T) {
 		}},
 	} {
 		m := MustNew(tc.cfg)
-		before := runtime.NumGoroutine()
 		if err := tc.run(m); err == nil {
 			t.Fatalf("%s: unfinished run reported success", tc.name)
 		}
-		// Stopped threads have exited when Stop returns.
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("%s: %d goroutines before the run, %d after", tc.name, before, after)
+		// Counting the run's own threads, not the process's goroutines,
+		// keeps goroutines outside the run from moving the count.
+		for _, n := range m.Nodes {
+			if live := n.LiveThreads(); live != 0 {
+				t.Errorf("%s: node %d has %d live threads after the run", tc.name, n.ID, live)
+			}
 		}
 	}
 }

@@ -64,10 +64,11 @@ const ContextSwitchCycles = 14
 
 // thread is one hardware context's execution state.
 type thread struct {
-	node *Node
-	idx  int
-	done bool
-	fin  sim.Cycle
+	node    *Node
+	idx     int
+	done    bool // the body returned
+	stopped bool // Stop abandoned the body
+	fin     sim.Cycle
 
 	// The coroutine: pull resumes the body until its next operation,
 	// stop abandons it, yield is the body's side of the switch, and resp
@@ -162,16 +163,30 @@ const stopped = "proc: thread stopped"
 // driven afterwards.
 func (n *Node) Stop() {
 	for _, t := range n.threads {
-		if !t.done {
+		if !t.done && !t.stopped {
 			t.halt()
 		}
 	}
 }
 
+// LiveThreads reports how many of the node's threads still hold a
+// coroutine: started, and neither finished nor stopped.
+func (n *Node) LiveThreads() int {
+	live := 0
+	for _, t := range n.threads {
+		if !t.done && !t.stopped {
+			live++
+		}
+	}
+	return live
+}
+
 // halt stops t's coroutine: a suspended body unwinds from its pending
-// operation by the stopped panic, which surfaces from t.stop.
+// operation by the stopped panic, which surfaces from t.stop. When t.stop
+// returns, the coroutine has exited.
 func (t *thread) halt() {
 	defer func() {
+		t.stopped = true
 		//lint:allow panic-hygiene(recovers only the stopped sentinel that unwinds an abandoned body)
 		if r := recover(); r != nil && r != stopped {
 			panic(r) //lint:allow panic-hygiene(a body's own panic is re-raised unchanged)

@@ -230,11 +230,11 @@ func (f *Fabric) PendingDescriptions() []string {
 // whether firing the event can interfere with a slept injection; an
 // unidentifiable event must be treated as interfering with everything.
 func (f *Fabric) NextEventBlock() (mem.Block, bool) {
-	evs := f.Engine.PendingTagged()
-	if len(evs) == 0 {
+	next, ok := f.Engine.NextTag()
+	if !ok {
 		return 0, false
 	}
-	switch tag := evs[0].Tag.(type) {
+	switch tag := next.(type) {
 	case *flight:
 		return tag.m.Block, true
 	case *procTag:

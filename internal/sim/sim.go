@@ -24,11 +24,18 @@
 //     independent of how scheduling calls from different owners
 //     interleave. The machine uses owned scheduling for every event; the
 //     resulting tie-break is pinned by every exhibit golden.
+//
+// The queue is a timing wheel: one bucket per cycle for the next
+// wheelSize cycles, each bucket a list kept in key order, plus a small
+// heap for the rare event scheduled further out. The structure is an
+// implementation detail; the contract is only that Step fires the pending
+// event with the least (cycle, owner, cnt) key. Scheduling returns
+// nothing: a scheduled event always fires.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -62,69 +69,51 @@ type Caller interface {
 // among themselves they keep scheduling order via the engine sequence.
 const unkeyedOwner = int32(^uint32(0) >> 1)
 
+// wheelSize is the number of per-cycle buckets: an event scheduled less
+// than wheelSize cycles ahead goes to a bucket, anything later to the
+// overflow heap. 256 holds 98% of the delays that the quick exhibits and
+// a 64-node WORKER run schedule (EXPERIMENTS.md, "Event core").
+const (
+	wheelSize = 256
+	wheelMask = wheelSize - 1
+)
+
+// scheduledEvent is one pooled event slot. Slots live in Engine.slots and
+// are linked by index: next threads a bucket's list, or the free list.
 type scheduledEvent struct {
 	at    Cycle
-	owner int32  // key owner (node), or unkeyedOwner
 	cnt   uint64 // owner-stream position, or engine sequence when unkeyed
+	owner int32  // key owner (node), or unkeyedOwner
+	next  int32  // next slot in the same list; 0 ends it
 	fire  Event  // closure form; nil when call is set
 	call  Caller // receiver form; nil when fire is set
 	tag   any    // optional inspection tag (see AtTagged)
-	index int    // heap index; -1 once popped or cancelled
-	gen   uint64 // bumped on every release, invalidating stale EventIDs
-}
-
-// EventID identifies a scheduled event so it can be cancelled. Events are
-// pooled: the generation captured at scheduling time keeps a stale ID
-// (held across the event's firing) from cancelling the slot's next tenant.
-type EventID struct {
-	ev  *scheduledEvent
-	gen uint64
-}
-
-type eventHeap []*scheduledEvent
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].owner != h[j].owner {
-		return h[i].owner < h[j].owner
-	}
-	return h[i].cnt < h[j].cnt
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // Engine is a discrete-event scheduler with deterministic tie-breaking.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now    Cycle
-	seq    uint64
-	events eventHeap
-	fired  uint64
-	free   []*scheduledEvent // released events awaiting reuse
+	now     Cycle
+	seq     uint64
+	fired   uint64
+	pending int
+
+	// slots is the event pool. Slot 0 is never used, so index 0 can end
+	// a list; free heads the list of released slots.
+	slots []scheduledEvent
+	free  int32
+
+	// bucket[at&wheelMask] heads the key-ordered list of the events due
+	// at cycle at, for every at in [now, now+wheelSize); occupied has bit
+	// b set exactly when bucket[b] is non-empty. Every pending event is
+	// due at or after now, so one bucket never mixes two cycles.
+	bucket   [wheelSize]int32
+	occupied [wheelSize / 64]uint64
+
+	// overflow is a binary min-heap, by full key, of the events that were
+	// scheduled wheelSize or more cycles ahead. They stay there until they
+	// fire; earliest compares its top against the first bucket.
+	overflow []int32
 
 	// streams holds the per-owner key counters for owned scheduling (see
 	// the package comment). Nil until SetStreams; owned calls then fall
@@ -133,14 +122,14 @@ type Engine struct {
 
 	// Observer, when non-nil, is invoked after every dispatched event
 	// with the clock and the number of events still pending. It feeds
-	// the tracing subsystem's engine counters; it must not schedule or
-	// cancel events. Nil (the default) costs one branch per Step.
+	// the tracing subsystem's engine counters; it must not schedule
+	// events. Nil (the default) costs one branch per Step.
 	Observer func(now Cycle, pending int)
 }
 
 // NewEngine returns an empty engine positioned at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{slots: make([]scheduledEvent, 1, 16)}
 }
 
 // Now returns the current simulated cycle.
@@ -150,67 +139,157 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // At schedules fn to run at the absolute cycle at. Scheduling in the past
 // panics: it indicates a protocol bug, and silently reordering time would
 // destroy the determinism guarantee.
-func (e *Engine) At(at Cycle, fn Event) EventID {
-	return e.AtTagged(at, nil, fn)
+func (e *Engine) At(at Cycle, fn Event) {
+	e.AtTagged(at, nil, fn)
 }
 
 // AtTagged schedules fn like At and attaches an inspection tag to the
 // pending event. Tags never affect execution; they exist so external
 // observers (the model checker's state-fingerprint layer) can enumerate
 // what is queued without being able to look inside the closures.
-func (e *Engine) AtTagged(at Cycle, tag any, fn Event) EventID {
-	ev := e.scheduleUnkeyed(at, tag)
-	ev.fire = fn
-	return EventID{ev, ev.gen}
+func (e *Engine) AtTagged(at Cycle, tag any, fn Event) {
+	e.schedule(at, unkeyedOwner, e.seq, tag, fn, nil)
 }
 
 // AtCall schedules a preallocated Caller to fire at the absolute cycle
 // at, with an inspection tag. It is the allocation-free scheduling path:
-// the event slot comes from the engine's free list and the receiver is
+// the event slot comes from the engine's pool and the receiver is
 // caller-owned, so steady-state scheduling allocates nothing.
-func (e *Engine) AtCall(at Cycle, tag any, c Caller) EventID {
-	ev := e.scheduleUnkeyed(at, tag)
-	ev.call = c
-	return EventID{ev, ev.gen}
+func (e *Engine) AtCall(at Cycle, tag any, c Caller) {
+	e.schedule(at, unkeyedOwner, e.seq, tag, nil, c)
 }
 
 // AfterCall schedules a Caller to fire delay cycles from now (see AtCall).
-func (e *Engine) AfterCall(delay Cycle, tag any, c Caller) EventID {
-	return e.AtCall(e.now+delay, tag, c)
+func (e *Engine) AfterCall(delay Cycle, tag any, c Caller) {
+	e.AtCall(e.now+delay, tag, c)
 }
 
-// scheduleUnkeyed acquires an event slot keyed by the engine-global
-// sequence: the fallback discipline for engine users that never install
-// key streams (see the package comment).
-func (e *Engine) scheduleUnkeyed(at Cycle, tag any) *scheduledEvent {
-	return e.schedule(at, unkeyedOwner, e.seq, tag)
-}
-
-// schedule acquires an event slot (reusing a released one when possible)
-// and enqueues it under the given canonical key. Scheduling in the past
+// schedule takes a slot from the pool (growing it when none is free) and
+// enqueues it under the given canonical key. Scheduling in the past
 // panics: it indicates a protocol bug, and silently reordering time would
 // destroy determinism.
-func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any) *scheduledEvent {
+func (e *Engine) schedule(at Cycle, owner int32, cnt uint64, tag any, fn Event, c Caller) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, now %d", at, e.now))
 	}
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	s := e.free
+	if s != 0 {
+		e.free = e.slots[s].next
 	} else {
-		ev = new(scheduledEvent)
+		s = int32(len(e.slots))
+		e.slots = append(e.slots, scheduledEvent{})
 	}
-	ev.at, ev.owner, ev.cnt, ev.tag = at, owner, cnt, tag
+	ev := &e.slots[s]
+	ev.at, ev.owner, ev.cnt, ev.tag, ev.fire, ev.call = at, owner, cnt, tag, fn, c
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
+	e.pending++
+	if at-e.now >= wheelSize {
+		e.pushOverflow(s)
+		return
+	}
+	// Keep the bucket in key order. Its events share a cycle, so the key
+	// is (owner, cnt); a new event usually sorts last.
+	b := int(at & wheelMask)
+	p := &e.bucket[b]
+	for *p != 0 {
+		q := &e.slots[*p]
+		if q.owner > owner || (q.owner == owner && q.cnt > cnt) {
+			break
+		}
+		p = &q.next
+	}
+	ev.next = *p
+	*p = s
+	e.occupied[b>>6] |= 1 << (b & 63)
+}
+
+// before reports whether slot a's event fires before slot b's: the
+// engine's total order, by cycle, then owner, then count.
+func (e *Engine) before(a, b int32) bool {
+	x, y := &e.slots[a], &e.slots[b]
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.owner != y.owner {
+		return x.owner < y.owner
+	}
+	return x.cnt < y.cnt
+}
+
+// pushOverflow adds slot s to the overflow heap.
+func (e *Engine) pushOverflow(s int32) {
+	h := append(e.overflow, s)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !e.before(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.overflow = h
+}
+
+// popOverflow removes the overflow heap's top.
+func (e *Engine) popOverflow() {
+	h := e.overflow
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && e.before(h[c+1], h[c]) {
+			c++
+		}
+		if !e.before(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.overflow = h
+}
+
+// firstBucket returns the first occupied bucket at least d cycles after
+// now, or -1 when the wheel holds nothing that late. It reads the
+// occupancy bitmap a word at a time, starting from now's bucket.
+func (e *Engine) firstBucket(d uint) int {
+	for d < wheelSize {
+		pos := (uint(e.now) + d) & wheelMask
+		if word := e.occupied[pos>>6] >> (pos & 63); word != 0 {
+			tz := uint(bits.TrailingZeros64(word))
+			if d+tz >= wheelSize {
+				return -1 // wrapped back to buckets already passed
+			}
+			return int(pos + tz)
+		}
+		d += 64 - pos&63
+	}
+	return -1
+}
+
+// earliest locates the next event to fire: its slot, and the bucket
+// whose list it heads, or -1 when it is the overflow heap's top. The slot
+// is 0 when nothing is pending.
+func (e *Engine) earliest() (int32, int) {
+	b := e.firstBucket(0)
+	if len(e.overflow) > 0 {
+		if o := e.overflow[0]; b < 0 || e.before(o, e.bucket[b]) {
+			return o, -1
+		}
+	}
+	if b < 0 {
+		return 0, -1
+	}
+	return e.bucket[b], b
 }
 
 // SetStreams installs the per-owner key counter streams, indexed by
@@ -237,48 +316,36 @@ func (e *Engine) ownedKey(owner int) (int32, uint64) {
 // (owner, cnt) key drawn from owner's stream (see the package comment).
 //
 //swex:hotpath
-func (e *Engine) OwnedAt(owner int, at Cycle, tag any, fn Event) EventID {
+func (e *Engine) OwnedAt(owner int, at Cycle, tag any, fn Event) {
 	o, c := e.ownedKey(owner)
-	ev := e.schedule(at, o, c, tag)
-	ev.fire = fn
-	return EventID{ev, ev.gen}
+	e.schedule(at, o, c, tag, fn, nil)
 }
 
 // OwnedAfter schedules fn delay cycles from now with a canonical key (see
 // OwnedAt).
 //
 //swex:hotpath
-func (e *Engine) OwnedAfter(owner int, delay Cycle, tag any, fn Event) EventID {
-	return e.OwnedAt(owner, e.now+delay, tag, fn)
+func (e *Engine) OwnedAfter(owner int, delay Cycle, tag any, fn Event) {
+	e.OwnedAt(owner, e.now+delay, tag, fn)
 }
 
 // OwnedAtCall schedules a preallocated Caller at the absolute cycle at
 // with a canonical key (see OwnedAt and AtCall).
 //
 //swex:hotpath
-func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) EventID {
+func (e *Engine) OwnedAtCall(owner int, at Cycle, tag any, c Caller) {
 	o, cnt := e.ownedKey(owner)
-	ev := e.schedule(at, o, cnt, tag)
-	ev.call = c
-	return EventID{ev, ev.gen}
-}
-
-// release returns a fired event slot to the free list, invalidating any
-// EventID still holding it.
-func (e *Engine) release(ev *scheduledEvent) {
-	ev.gen++
-	ev.fire, ev.call, ev.tag = nil, nil, nil
-	e.free = append(e.free, ev)
+	e.schedule(at, o, cnt, tag, nil, c)
 }
 
 // After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) EventID {
-	return e.At(e.now+delay, fn)
+func (e *Engine) After(delay Cycle, fn Event) {
+	e.At(e.now+delay, fn)
 }
 
 // AfterTagged schedules fn to run delay cycles from now with a tag.
-func (e *Engine) AfterTagged(delay Cycle, tag any, fn Event) EventID {
-	return e.AtTagged(e.now+delay, tag, fn)
+func (e *Engine) AfterTagged(delay Cycle, tag any, fn Event) {
+	e.AtTagged(e.now+delay, tag, fn)
 }
 
 // TaggedEvent describes one pending event for inspection: its firing cycle
@@ -296,35 +363,31 @@ type TaggedEvent struct {
 // nothing else were scheduled, which is what makes it usable as part of a
 // canonical machine-state fingerprint.
 func (e *Engine) PendingTagged() []TaggedEvent {
-	evs := make([]*scheduledEvent, len(e.events))
-	copy(evs, e.events)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
+	order := make([]int32, 0, e.pending)
+	for b := e.firstBucket(0); b >= 0; b = e.firstBucket((uint(b)-uint(e.now))&wheelMask + 1) {
+		for s := e.bucket[b]; s != 0; s = e.slots[s].next {
+			order = append(order, s)
 		}
-		if evs[i].owner != evs[j].owner {
-			return evs[i].owner < evs[j].owner
-		}
-		return evs[i].cnt < evs[j].cnt
-	})
-	out := make([]TaggedEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = TaggedEvent{At: ev.at, Tag: ev.tag}
+	}
+	if len(e.overflow) > 0 {
+		order = append(order, e.overflow...)
+		sort.Slice(order, func(i, j int) bool { return e.before(order[i], order[j]) })
+	}
+	out := make([]TaggedEvent, len(order))
+	for i, s := range order {
+		out[i] = TaggedEvent{At: e.slots[s].at, Tag: e.slots[s].tag}
 	}
 	return out
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// (or was already cancelled) is a no-op and returns false; the generation
-// check makes this safe even after the pooled slot has been reused.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
-		return false
+// NextTag returns the inspection tag of the event Step would fire next,
+// without copying the queue; ok is false when nothing is pending.
+func (e *Engine) NextTag() (tag any, ok bool) {
+	s, _ := e.earliest()
+	if s == 0 {
+		return nil, false
 	}
-	heap.Remove(&e.events, id.ev.index)
-	id.ev.index = -1
-	e.release(id.ev)
-	return true
+	return e.slots[s].tag, true
 }
 
 // Step fires the next event, advancing the clock to its cycle. It returns
@@ -332,39 +395,66 @@ func (e *Engine) Cancel(id EventID) bool {
 //
 //swex:hotpath
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	s, b := e.earliest()
+	if s == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*scheduledEvent)
+	e.fire(s, b)
+	return true
+}
+
+// fire dequeues slot s (heading bucket b, or the overflow heap when b is
+// -1), returns it to the pool and runs its event.
+func (e *Engine) fire(s int32, b int) {
+	ev := &e.slots[s]
+	if b >= 0 {
+		if e.bucket[b] = ev.next; ev.next == 0 {
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		}
+	} else {
+		e.popOverflow()
+	}
+	e.pending--
 	e.now = ev.at
 	e.fired++
-	fire, call := ev.fire, ev.call
-	e.release(ev)
+	fn, call := ev.fire, ev.call
+	*ev = scheduledEvent{next: e.free}
+	e.free = s
 	if call != nil {
 		call.Fire()
 	} else {
-		fire()
+		fn()
 	}
 	if e.Observer != nil {
-		e.Observer(e.now, len(e.events))
+		e.Observer(e.now, e.pending)
 	}
-	return true
 }
 
 // Run fires events until the queue drains or the clock passes limit.
 // A limit of zero means no limit. It returns the cycle at which the engine
 // stopped and whether the queue drained (as opposed to hitting the limit).
+// Stopping at the limit moves the clock to it, never backwards.
 //
 //swex:hotpath
 func (e *Engine) Run(limit Cycle) (Cycle, bool) {
-	for len(e.events) > 0 {
-		if limit != 0 && e.events[0].at > limit {
-			e.now = limit
+	for {
+		s, b := e.earliest()
+		if s == 0 {
+			return e.now, true
+		}
+		if limit != 0 && e.slots[s].at > limit {
+			e.stopAt(limit)
 			return e.now, false
 		}
-		e.Step()
+		e.fire(s, b)
 	}
-	return e.now, true
+}
+
+// stopAt advances the clock to a run's limit when no event is due by it.
+func (e *Engine) stopAt(limit Cycle) {
+	if limit > e.now {
+		e.now = limit
+	}
 }
 
 // RunUntil fires events while cond returns false, stopping as soon as cond
@@ -374,15 +464,18 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) bool {
 	if cond() {
 		return true
 	}
-	for len(e.events) > 0 {
-		if limit != 0 && e.events[0].at > limit {
-			e.now = limit
+	for {
+		s, b := e.earliest()
+		if s == 0 {
 			return false
 		}
-		e.Step()
+		if limit != 0 && e.slots[s].at > limit {
+			e.stopAt(limit)
+			return false
+		}
+		e.fire(s, b)
 		if cond() {
 			return true
 		}
 	}
-	return false
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -72,45 +73,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		e.At(5, func() {})
 	})
 	e.Run(0)
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.At(10, func() { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel of pending event returned false")
-	}
-	if e.Cancel(id) {
-		t.Fatal("second Cancel returned true")
-	}
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	var ids []EventID
-	for i := 0; i < 10; i++ {
-		i := i
-		ids = append(ids, e.At(Cycle(i+1), func() { fired = append(fired, i) }))
-	}
-	e.Cancel(ids[5])
-	e.Cancel(ids[0])
-	e.Cancel(ids[9])
-	e.Run(0)
-	want := []int{1, 2, 3, 4, 6, 7, 8}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
 }
 
 func TestEngineRunLimit(t *testing.T) {
@@ -391,5 +353,175 @@ func TestOwnedKeysMatchAcrossEngines(t *testing.T) {
 		if serial[i] != want[i] {
 			t.Fatalf("serial firing owners = %v, want %v", serial, want)
 		}
+	}
+}
+
+// refKey is one scheduled event as the differential test's reference
+// sees it: the engine's total-order key plus the event's identity.
+type refKey struct {
+	at    Cycle
+	owner int32
+	cnt   uint64
+	id    int
+}
+
+func (a refKey) less(b refKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.owner != b.owner {
+		return a.owner < b.owner
+	}
+	return a.cnt < b.cnt
+}
+
+// diffHarness schedules random events on an engine and keeps the
+// reference: every pending key, from which the minimum must fire next.
+type diffHarness struct {
+	t       *testing.T
+	e       *Engine
+	rnd     *Rand
+	streams []uint64 // the engine's key streams
+	own     []uint64 // the reference's copy of the streams
+	seq     uint64   // scheduling calls so far: the unkeyed count
+	pending []refKey
+	nextID  int
+	budget  int // events still to schedule
+}
+
+// refCaller fires event id through the Caller scheduling path.
+type refCaller struct {
+	h  *diffHarness
+	id int
+}
+
+func (c *refCaller) Fire() { c.h.fire(c.id) }
+
+// schedule adds one event at a random delay: zero, short, within the
+// wheel, or several wheel lengths out; owned (closure or Caller) or
+// unkeyed.
+func (h *diffHarness) schedule() {
+	id := h.nextID
+	h.nextID++
+	h.budget--
+	var delay Cycle
+	switch h.rnd.Intn(4) {
+	case 0:
+	case 1:
+		delay = Cycle(h.rnd.Intn(8))
+	case 2:
+		delay = Cycle(h.rnd.Intn(wheelSize))
+	default:
+		delay = Cycle(h.rnd.Intn(4 * wheelSize))
+	}
+	at := h.e.Now() + delay
+	k := refKey{at: at, id: id}
+	if owner := h.rnd.Intn(len(h.own) + 1); owner < len(h.own) {
+		k.owner, k.cnt = int32(owner), h.own[owner]
+		h.own[owner]++
+		if h.rnd.Intn(2) == 0 {
+			h.e.OwnedAt(owner, at, id, func() { h.fire(id) })
+		} else {
+			h.e.OwnedAtCall(owner, at, id, &refCaller{h, id})
+		}
+	} else {
+		k.owner, k.cnt = unkeyedOwner, h.seq
+		h.e.AtTagged(at, id, func() { h.fire(id) })
+	}
+	h.seq++
+	h.pending = append(h.pending, k)
+}
+
+// fire checks that event id is the reference's minimum, due now, and
+// schedules up to two more events from inside it (zero-delay ones land
+// in the cycle being fired).
+func (h *diffHarness) fire(id int) {
+	min := 0
+	for i, k := range h.pending {
+		if k.less(h.pending[min]) {
+			min = i
+		}
+	}
+	want := h.pending[min]
+	if want.id != id || want.at != h.e.Now() {
+		h.t.Fatalf("fired event %d at cycle %d, reference wants event %d at %d", id, h.e.Now(), want.id, want.at)
+	}
+	h.pending = append(h.pending[:min], h.pending[min+1:]...)
+	for n := h.rnd.Intn(3); n > 0 && h.budget > 0; n-- {
+		h.schedule()
+	}
+}
+
+// sorted returns the reference's pending keys in firing order.
+func (h *diffHarness) sorted() []refKey {
+	out := append([]refKey(nil), h.pending...)
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
+}
+
+// checkPending compares PendingTagged and NextTag with the reference.
+func (h *diffHarness) checkPending() {
+	want := h.sorted()
+	got := h.e.PendingTagged()
+	if len(got) != len(want) || h.e.Pending() != len(want) {
+		h.t.Fatalf("PendingTagged has %d events, Pending %d, reference %d", len(got), h.e.Pending(), len(want))
+	}
+	for i := range want {
+		if got[i].At != want[i].at || got[i].Tag != want[i].id {
+			h.t.Fatalf("PendingTagged[%d] = (%d, %v), reference (%d, %d)", i, got[i].At, got[i].Tag, want[i].at, want[i].id)
+		}
+	}
+	tag, ok := h.e.NextTag()
+	if ok != (len(want) > 0) || (ok && tag != want[0].id) {
+		h.t.Fatalf("NextTag = (%v, %v), reference first %v", tag, ok, want)
+	}
+}
+
+// TestEngineMatchesReference is the differential test of the event
+// queue: seeded random schedules, driven by Step and by Run with limits
+// that stop mid-queue, must fire in exactly the order of a reference that
+// sorts every scheduled key by (cycle, owner, cnt). Delays reach several
+// wheel lengths, so events take the overflow heap and the wheel wraps
+// many times; PendingTagged is compared at every stop.
+func TestEngineMatchesReference(t *testing.T) {
+	overflowed := false
+	for seed := uint64(1); seed <= 20; seed++ {
+		e := NewEngine()
+		h := &diffHarness{t: t, e: e, rnd: NewRand(seed), budget: 3000}
+		h.streams, h.own = make([]uint64, 4), make([]uint64, 4)
+		e.SetStreams(h.streams)
+		for i := 0; i < 40; i++ {
+			h.schedule()
+		}
+		for e.Pending() > 0 {
+			h.checkPending()
+			overflowed = overflowed || len(e.overflow) > 0
+			if h.rnd.Intn(4) == 0 {
+				e.Step()
+				continue
+			}
+			limit := e.Now() + Cycle(h.rnd.Intn(2*wheelSize))
+			now, drained := e.Run(limit)
+			if drained != (len(h.pending) == 0) {
+				t.Fatalf("seed %d: Run(%d) drained=%v with %d reference events pending", seed, limit, drained, len(h.pending))
+			}
+			if !drained {
+				if now != limit || e.Now() != limit {
+					t.Fatalf("seed %d: Run(%d) stopped at %d", seed, limit, now)
+				}
+				if first := h.sorted()[0]; first.at <= limit {
+					t.Fatalf("seed %d: Run(%d) left event %d due at %d", seed, limit, first.id, first.at)
+				}
+			}
+		}
+		if len(h.pending) != 0 || e.Fired() != uint64(h.nextID) {
+			t.Fatalf("seed %d: fired %d of %d events, %d left in the reference", seed, e.Fired(), h.nextID, len(h.pending))
+		}
+		if e.Now() < 4*wheelSize {
+			t.Fatalf("seed %d: clock reached only %d, the wheel never wrapped", seed, e.Now())
+		}
+	}
+	if !overflowed {
+		t.Fatal("no event ever took the overflow heap")
 	}
 }
