@@ -117,14 +117,20 @@ memtier-smoke:
 	$(GO) test ./internal/litmus/ -run 'MemTier|WeakenedFixtureStillCaught' -count=1
 	$(GO) run ./cmd/swex -quick tiers >/dev/null
 
-# trace-smoke exercises the tracing pipeline end to end: a traced run must
-# export, export deterministically, and round-trip the profile view, and
-# the directoryless machine (-protocol dls) must trace too. The
-# per-package tests assert the details; this is the `make check` wiring.
+# trace-smoke exercises the tracing pipeline end to end through swexrun:
+# a traced run must export, export deterministically (two exports of one
+# configuration compare byte for byte), and print the critical-path
+# tables, and the directoryless machine (-protocol dls) must trace too.
+# The per-package tests assert the details; this is the `make check`
+# wiring.
 trace-smoke:
 	$(GO) test ./internal/trace/
-	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol h2 -o /tmp/swextrace-smoke.json
-	$(GO) run ./cmd/swextrace profile -worker 4 -iters 2 -nodes 4 -protocol h2 >/dev/null
-	$(GO) run ./cmd/swextrace -worker 4 -iters 2 -nodes 4 -protocol dls -o /tmp/swextrace-smoke-dls.json
+	d=$$(mktemp -d) && \
+	  $(GO) run ./cmd/swexrun -worker 4 -iters 2 -nodes 4 -protocol h2 -export $$d/h2.json >/dev/null && \
+	  $(GO) run ./cmd/swexrun -worker 4 -iters 2 -nodes 4 -protocol h2 -export $$d/h2-again.json >/dev/null && \
+	  cmp $$d/h2.json $$d/h2-again.json && \
+	  $(GO) run ./cmd/swexrun -worker 4 -iters 2 -nodes 4 -protocol h2 -critpath >/dev/null && \
+	  $(GO) run ./cmd/swexrun -worker 4 -iters 2 -nodes 4 -protocol dls -export $$d/dls.json >/dev/null && \
+	  rm -rf $$d
 
 check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke

@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -126,10 +128,51 @@ func TestBFSAndDFSAgree(t *testing.T) {
 	}
 }
 
+// docTranscripts returns the fenced code blocks of the MODELCHECK.md
+// section whose heading starts with heading, in document order. The
+// counterexample tests compare Explain's whole text with them byte for
+// byte, so the documented narratives cannot drift from what the checker
+// prints.
+func docTranscripts(t *testing.T, heading string) []string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "MODELCHECK.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n"+heading)
+	if !ok {
+		t.Fatalf("MODELCHECK.md has no section %q", heading)
+	}
+	sec, _, _ = strings.Cut(sec, "\n#")
+	var blocks []string
+	for {
+		_, rest, ok := strings.Cut(sec, "```\n")
+		if !ok {
+			return blocks
+		}
+		var block string
+		block, sec, _ = strings.Cut(rest, "```\n")
+		blocks = append(blocks, block)
+	}
+}
+
+// explainMatches replays v and requires its narrative to equal want.
+func explainMatches(t *testing.T, cfg Config, v *Violation, want string) {
+	t.Helper()
+	text, err := Explain(cfg, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != want {
+		t.Fatalf("Explain narrative drifted from MODELCHECK.md:\n got:\n%s\nwant:\n%s", text, want)
+	}
+}
+
 // TestSeededDroppedInvCaught seeds the classic lost-invalidation bug — the
 // first INV message is silently dropped — and checks that the checker
 // finds it, that BFS delivers the shortest counterexample, and that the
-// replay renders the drop.
+// replay renders it exactly as MODELCHECK.md §4.1's first transcript
+// (the narrative `swexmc -spec DirnHNBS- -drop-inv 1` prints).
 func TestSeededDroppedInvCaught(t *testing.T) {
 	cfg := smoke(proto.FullMap())
 	cfg.Fault = func() func(proto.Msg) bool {
@@ -157,18 +200,13 @@ func TestSeededDroppedInvCaught(t *testing.T) {
 	if got := len(res.Violation.Trace); got != 7 {
 		t.Fatalf("counterexample has %d choices, want the 7-step shortest", got)
 	}
-	text, err := Explain(cfg, res.Violation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "drop INV") {
-		t.Fatalf("replay does not show the dropped invalidation:\n%s", text)
-	}
+	explainMatches(t, cfg, res.Violation, docTranscripts(t, "### 4.1")[0])
 }
 
 // TestSeededDroppedAckCaught drops the first acknowledgment instead: the
 // home then waits forever for an ack count that cannot reach zero, which
-// the quiescence invariant reports once the event queue drains.
+// the quiescence invariant reports once the event queue drains. The
+// replay must render exactly MODELCHECK.md §4.2's transcript.
 func TestSeededDroppedAckCaught(t *testing.T) {
 	cfg := smoke(proto.FullMap())
 	cfg.Fault = func() func(proto.Msg) bool {
@@ -191,6 +229,7 @@ func TestSeededDroppedAckCaught(t *testing.T) {
 	if res.Violation.Invariant != "quiescence" {
 		t.Fatalf("caught as %q, want quiescence", res.Violation.Invariant)
 	}
+	explainMatches(t, cfg, res.Violation, docTranscripts(t, "### 4.2")[0])
 }
 
 // TestConfigValidation exercises Check's configuration rejection.

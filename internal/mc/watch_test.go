@@ -80,7 +80,8 @@ func TestWatchSameNodeProducer(t *testing.T) {
 // producer–consumer alphabet: with reads excluded, the only way a block
 // becomes shared is a consumer's watch, so the BFS-shortest
 // counterexample necessarily runs through the watch path, and the
-// violation detail must name the watched block and the waiting node.
+// violation detail must name the watched block and the waiting node. The
+// replay must render exactly MODELCHECK.md §4.1's second transcript.
 func TestWatchDropInvCounterexample(t *testing.T) {
 	cfg := Config{
 		Spec: proto.FullMap(), Nodes: 2, Blocks: 1, MaxOps: 3,
@@ -128,16 +129,7 @@ func TestWatchDropInvCounterexample(t *testing.T) {
 	if !strings.Contains(res.Violation.Detail, "watcher on block") {
 		t.Fatalf("violation detail does not name the stranded watcher: %s", res.Violation.Detail)
 	}
-	text, err := Explain(cfg, res.Violation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"watch", "drop INV", "watcher on block"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("counterexample transcript missing %q:\n%s", want, text)
-		}
-	}
-	t.Logf("trace length %d\n%s", len(res.Violation.Trace), text)
+	explainMatches(t, cfg, res.Violation, docTranscripts(t, "### 4.1")[1])
 }
 
 // TestMixedSpecMachine checks per-block Configure enumeration: a machine

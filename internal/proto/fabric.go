@@ -38,8 +38,6 @@ type Fabric struct {
 	BatchReads bool
 	// Counters aggregates machine-wide protocol event counts.
 	Counters *stats.Counters
-	// Trace, when set, receives every protocol message and trap.
-	Trace Tracer
 	// Sink, when set, receives structured span events for the tracing
 	// subsystem (see internal/trace and sink.go). Nil disables tracing
 	// at one branch per hook.
@@ -56,7 +54,9 @@ type Fabric struct {
 	// invalidation, a lost acknowledgment) are expressed as drop filters,
 	// and the checker then finds the interleaving that turns the lost
 	// message into an invariant violation. Dropped messages are counted
-	// under "msg.dropped".
+	// under "msg.dropped". mc.Explain wraps the filter it finds here to
+	// record each sent and dropped message for its counterexample
+	// narrative.
 	Fault func(Msg) bool
 
 	homes      []*HomeCtl
@@ -196,13 +196,9 @@ func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
 func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
 	if f.Fault != nil && f.Fault(m) {
 		f.Counters.Inc("msg.dropped")
-		if f.Trace != nil {
-			f.Trace.Event(f.Engine.Now(), "drop", m.String())
-		}
 		return
 	}
 	f.Counters.Inc(msgCounterNames[m.Kind])
-	f.traceMsg(m)
 	var fl *flight
 	if n := len(f.flightPool); n > 0 {
 		fl = f.flightPool[n-1]

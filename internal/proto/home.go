@@ -276,7 +276,6 @@ func (h *HomeCtl) onDirect(m Msg) {
 func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim.Cycle {
 	h.Traps++
 	h.f.Counters.Inc("home.traps")
-	h.f.traceTrap(int(h.node), "handler", cost)
 	done := h.f.Traps.Schedule(h.node, cost)
 	if h.f.Sink != nil {
 		h.f.emitHandler(h.node, t.b, t.r, name, cost, done)

@@ -55,16 +55,28 @@ func TestTraceDeterminism(t *testing.T) {
 
 // TestDisabledTracingChangesNothing checks the zero-cost-when-disabled
 // contract on the simulation itself: installing a sink must not move a
-// single cycle or message count.
+// single cycle or message count. Worker sets of 4 overflow LimitLESS(2)'s
+// two hardware pointers, so the run traps, and the sink must observe
+// every trap as one handler span.
 func TestDisabledTracingChangesNothing(t *testing.T) {
 	off := runWorker(t, nil, 8, 4, 3, proto.LimitLESS(2))
-	on := runWorker(t, trace.NewCollector(), 8, 4, 3, proto.LimitLESS(2))
+	sink := trace.NewCollector()
+	on := runWorker(t, sink, 8, 4, 3, proto.LimitLESS(2))
 	if off.Time != on.Time {
 		t.Fatalf("tracing moved the run time: %d vs %d cycles", off.Time, on.Time)
 	}
 	if off.Messages != on.Messages || off.Traps != on.Traps || off.BusyRetries != on.BusyRetries {
 		t.Fatalf("tracing moved the counters: msgs %d/%d traps %d/%d retries %d/%d",
 			off.Messages, on.Messages, off.Traps, on.Traps, off.BusyRetries, on.BusyRetries)
+	}
+	var handlers uint64
+	for _, e := range sink.Events() {
+		if e.Op == trace.OpHandler {
+			handlers++
+		}
+	}
+	if on.Traps == 0 || handlers != on.Traps {
+		t.Fatalf("sink observed %d handler spans for %d traps (want equal, non-zero)", handlers, on.Traps)
 	}
 }
 
