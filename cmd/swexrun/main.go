@@ -39,6 +39,7 @@ import (
 	"swex/internal/litmus"
 	"swex/internal/machine"
 	"swex/internal/mem"
+	"swex/internal/proto"
 	"swex/internal/trace"
 )
 
@@ -239,15 +240,15 @@ func report(w io.Writer, app swex.App, cfg machine.Config, m *machine.Machine, r
 
 	// Message mix.
 	fmt.Fprintf(w, "  message mix      ")
-	var kinds []string
-	for _, name := range res.Counters.Names() {
-		if strings.HasPrefix(name, "msg.") {
-			kinds = append(kinds, name)
+	var kinds []proto.MsgKind
+	for k, n := range res.Counts.Sent {
+		if n > 0 {
+			kinds = append(kinds, proto.MsgKind(k))
 		}
 	}
-	sort.Strings(kinds)
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	for _, k := range kinds {
-		fmt.Fprintf(w, " %s=%d", strings.TrimPrefix(k, "msg."), res.Counters.Get(k))
+		fmt.Fprintf(w, " %s=%d", k, res.Counts.Sent[k])
 	}
 	fmt.Fprintln(w)
 

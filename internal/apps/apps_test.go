@@ -165,7 +165,7 @@ func TestSMGridBarrierHeavy(t *testing.T) {
 	_, res, _ := runApp(t, SMGrid(p), 4, proto.FullMap())
 	// Multigrid is barrier-synchronized: there must be significant
 	// invalidation traffic from the ping-pong updates.
-	if res.Counters.Get("msg.INV") == 0 {
+	if res.Counts.Sent[proto.MsgINV] == 0 {
 		t.Fatal("no invalidations in a Jacobi ping-pong")
 	}
 }

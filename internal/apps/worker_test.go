@@ -48,7 +48,7 @@ func TestWorkerInvalidationsPerWrite(t *testing.T) {
 	// k=4, 4 iterations: each of the 16 writers invalidates 4 readers
 	// per iteration after the first read phase.
 	_, res := runWorker(t, 16, 4, 4, proto.FullMap())
-	invs := res.Counters.Get("home.hw_invalidations")
+	invs := res.Counts.HWInvalidations
 	// Write-phase invalidations: 16 blocks * 4 readers * 4 iters, plus
 	// recall invalidations when readers pull the block from the writer
 	// (one per block per iteration) and barrier traffic.

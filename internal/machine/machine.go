@@ -258,8 +258,8 @@ type Result struct {
 	Messages uint64
 	// BusyRetries counts BUSY-induced retransmissions.
 	BusyRetries uint64
-	// Counters is the fabric's full counter set.
-	Counters *stats.Counters
+	// Counts is the fabric's protocol event counts.
+	Counts proto.Counts
 	// Ledger is the handler-latency ledger (nil for full-map).
 	Ledger *stats.Ledger
 	// WorkerSets is the per-block maximum worker-set histogram.
@@ -270,21 +270,7 @@ type Result struct {
 // run summary. The limit bounds simulated cycles (0 = none); exceeding it
 // or deadlocking returns an error identifying the stuck nodes.
 func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) {
-	threads := m.Cfg.ThreadsPerNode
-	if threads < 1 {
-		threads = 1
-	}
-	for _, n := range m.Nodes {
-		n.StartThreads(threads, program)
-	}
-	finished := func() bool {
-		for _, n := range m.Nodes {
-			if !n.Done() {
-				return false
-			}
-		}
-		return true
-	}
+	finished := m.startThreads(program)
 	ok := m.Engine.RunUntil(finished, limit)
 	if !ok {
 		stuck := m.stopThreads()
@@ -292,6 +278,23 @@ func (m *Machine) Run(program func(*proc.Env), limit sim.Cycle) (Result, error) 
 			m.Engine.Now(), stuck, m.Engine.Pending())
 	}
 	return m.result(), nil
+}
+
+// startThreads launches program's threads on every node and returns the
+// predicate that reports whether all of them have finished.
+func (m *Machine) startThreads(program func(*proc.Env)) (finished func() bool) {
+	threads := max(m.Cfg.ThreadsPerNode, 1)
+	for _, n := range m.Nodes {
+		n.StartThreads(threads, program)
+	}
+	return func() bool {
+		for _, n := range m.Nodes {
+			if !n.Done() {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // stopThreads abandons the threads of a run that did not complete, so none
@@ -309,7 +312,7 @@ func (m *Machine) stopThreads() []mem.NodeID {
 
 func (m *Machine) result() Result {
 	r := Result{
-		Counters:   m.Fabric.Counters,
+		Counts:     m.Fabric.Counts,
 		WorkerSets: m.Fabric.WorkerSetHist(),
 		Finish:     make([]sim.Cycle, len(m.Nodes)),
 	}
@@ -347,21 +350,7 @@ func (m *Machine) RunProfiled(program func(*proc.Env), limit sim.Cycle, interval
 	if interval == 0 {
 		interval = 10_000
 	}
-	threads := m.Cfg.ThreadsPerNode
-	if threads < 1 {
-		threads = 1
-	}
-	for _, n := range m.Nodes {
-		n.StartThreads(threads, program)
-	}
-	finished := func() bool {
-		for _, n := range m.Nodes {
-			if !n.Done() {
-				return false
-			}
-		}
-		return true
-	}
+	finished := m.startThreads(program)
 	tl := &Timeline{Interval: interval}
 	var lastMsgs, lastTraps uint64
 	sample := func() {

@@ -246,7 +246,8 @@ func (n *Network) TxUtilization(id int) float64 {
 // receive queue.
 func (n *Network) RxWaited(id int) sim.Cycle { return n.rx[id].Waited }
 
-// MeanHops returns the average hop count over all non-local messages.
+// MeanHops returns the average hop count over all messages, a local
+// (self-addressed) message counting as zero hops.
 func (n *Network) MeanHops() float64 {
 	if n.Messages == 0 {
 		return 0

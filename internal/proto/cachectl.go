@@ -433,7 +433,7 @@ func (cc *CacheCtl) install(l cache.Line) {
 	if !was {
 		return
 	}
-	cc.f.Counters.Inc("cache.evictions")
+	cc.f.Counts.Evictions++
 	if evicted.Dirty {
 		cc.f.Send(Msg{
 			Kind: MsgWB, Src: cc.node, Dst: mem.HomeOfBlock(evicted.Block),
@@ -531,7 +531,6 @@ func (cc *CacheCtl) onBusy(m Msg) {
 	}
 	t.retries++
 	cc.Retries++
-	cc.f.Counters.Inc("cache.busy_retries")
 	b := m.Block
 	if cc.f.Sink != nil && t.id != 0 {
 		now := cc.f.Engine.Now()

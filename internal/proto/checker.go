@@ -151,8 +151,14 @@ func (f *Fabric) AgreementViolation(b mem.Block) string {
 // The model checker asserts this at every reachable state with an empty
 // event queue.
 func (f *Fabric) QuiescenceViolation(blocks []mem.Block) string {
-	if n := len(f.inflight); n > 0 {
-		return fmt.Sprintf("%d messages still in flight: %v", n, f.InFlight())
+	var wire []Msg
+	for _, ev := range f.Engine.PendingTagged() {
+		if fl, ok := ev.Tag.(*flight); ok {
+			wire = append(wire, fl.m)
+		}
+	}
+	if len(wire) > 0 {
+		return fmt.Sprintf("%d messages still in flight: %v", len(wire), wire)
 	}
 	for i := 0; i < f.Nodes(); i++ {
 		if n := f.caches[i].OutstandingTxns(); n > 0 {

@@ -36,8 +36,10 @@ type Fabric struct {
 	// slows down frequently-written shared words (task-queue heads), so
 	// it is off by default.
 	BatchReads bool
-	// Counters aggregates machine-wide protocol event counts.
-	Counters *stats.Counters
+	// Counts holds the machine-wide protocol event counts that no
+	// controller keeps itself (traps are HomeCtl.Traps, BUSY retries
+	// CacheCtl.Retries).
+	Counts Counts
 	// Sink, when set, receives structured span events for the tracing
 	// subsystem (see internal/trace and sink.go). Nil disables tracing
 	// at one branch per hook.
@@ -54,7 +56,7 @@ type Fabric struct {
 	// invalidation, a lost acknowledgment) are expressed as drop filters,
 	// and the checker then finds the interleaving that turns the lost
 	// message into an invariant violation. Dropped messages are counted
-	// under "msg.dropped". mc.Explain wraps the filter it finds here to
+	// in Counts.Dropped. mc.Explain wraps the filter it finds here to
 	// record each sent and dropped message for its counterexample
 	// narrative.
 	Fault func(Msg) bool
@@ -62,28 +64,47 @@ type Fabric struct {
 	homes      []*HomeCtl
 	caches     []*CacheCtl
 	checker    *Checker
-	inflight   []*flight
-	flightPool []*flight // retired entries awaiting reuse
+	flightPool []*flight // delivered entries awaiting reuse
 	txnSeq     uint64    // trace transaction ids (tracing enabled only)
 	msgSeq     uint64    // trace message sequence numbers
 }
 
-// flight is one registered in-flight message; its identity ties the
-// delivery event back to the registry entry, and it doubles as the
-// delivery event's inspection tag and its delivery receiver (sim.Caller).
-// Entries are pooled on the owning Fabric: a retired flight returns to
-// flightPool, so the steady-state send path allocates nothing.
+// Counts is the fabric's set of run statistics, one field per fact.
+type Counts struct {
+	// Sent counts the messages injected into the network, by kind.
+	Sent [numMsgKinds]uint64
+	// Dropped counts messages the Fault filter discarded.
+	Dropped uint64
+	// Evictions counts valid cache lines displaced by a fill.
+	Evictions uint64
+	// BatchedReads counts read requests drained by a running handler.
+	BatchedReads uint64
+	// HWInvalidations and SWInvalidations count the INV messages sent by
+	// hardware and by a software write handler.
+	HWInvalidations, SWInvalidations uint64
+	// CheckIns counts clean copies whose pointer a REL retired.
+	CheckIns uint64
+	// MigratoryReadGrants counts reads served with an Exclusive grant;
+	// MigratoryPromotions and MigratoryDemotions count blocks entering
+	// and leaving the migratory mode.
+	MigratoryReadGrants, MigratoryPromotions, MigratoryDemotions uint64
+}
+
+// flight is one in-flight message: the delivery event's inspection tag
+// and its delivery receiver (sim.Caller), so the engine queue is the one
+// record of what is on the wire. Entries are pooled on the owning Fabric:
+// a delivered flight returns to flightPool, so the steady-state send path
+// allocates nothing.
 type flight struct {
 	f *Fabric
 	m Msg
 }
 
-// Fire delivers the message: it retires the registry entry, returns it to
-// the pool, and hands the message to the destination controller. The pool
-// return happens before Deliver so nested sends can reuse the slot.
+// Fire returns the entry to the pool and hands the message to the
+// destination controller. The pool return happens before Deliver so
+// nested sends can reuse the slot.
 func (fl *flight) Fire() {
 	f, m := fl.f, fl.m
-	f.retire(fl)
 	f.flightPool = append(f.flightPool, fl)
 	if m.Kind.ToHome() {
 		f.homes[m.Dst].Deliver(m)
@@ -91,15 +112,6 @@ func (fl *flight) Fire() {
 		f.caches[m.Dst].Deliver(m)
 	}
 }
-
-// msgCounterNames precomputes the per-kind counter keys so the send path
-// does not rebuild "msg.<kind>" strings per message.
-var msgCounterNames = func() (out [numMsgKinds]string) {
-	for k := MsgKind(0); k < numMsgKinds; k++ {
-		out[k] = "msg." + k.String()
-	}
-	return out
-}()
 
 // blockTag is the inspection tag for scheduled protocol work that is not
 // an in-flight message: handler completions, queued home processing,
@@ -153,14 +165,13 @@ func NewFabric(engine *sim.Engine, net *mesh.Network, memory *mem.Memory,
 		return nil, fmt.Errorf("proto: %s requires protocol extension software", spec.Name)
 	}
 	f := &Fabric{
-		Engine:   engine,
-		Net:      net,
-		Mem:      memory,
-		Timing:   timing,
-		Spec:     spec,
-		Traps:    traps,
-		Soft:     soft,
-		Counters: stats.NewCounters(),
+		Engine: engine,
+		Net:    net,
+		Mem:    memory,
+		Timing: timing,
+		Spec:   spec,
+		Traps:  traps,
+		Soft:   soft,
 	}
 	f.homes = make([]*HomeCtl, n)
 	f.caches = make([]*CacheCtl, n)
@@ -195,10 +206,10 @@ func (f *Fabric) Send(m Msg) { f.SendDelayed(m, 0) }
 //swex:hotpath
 func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
 	if f.Fault != nil && f.Fault(m) {
-		f.Counters.Inc("msg.dropped")
+		f.Counts.Dropped++
 		return
 	}
-	f.Counters.Inc(msgCounterNames[m.Kind])
+	f.Counts.Sent[m.Kind]++
 	var fl *flight
 	if n := len(f.flightPool); n > 0 {
 		fl = f.flightPool[n-1]
@@ -208,46 +219,27 @@ func (f *Fabric) SendDelayed(m Msg, extra sim.Cycle) {
 		fl = &flight{f: f}
 	}
 	fl.m = m
-	f.inflight = append(f.inflight, fl)
 	f.Net.SendCall(int(m.Src), int(m.Dst), f.Timing.Flits(m.Kind), extra, fl, fl)
 }
 
-// retire removes a delivered message from the in-flight registry. The
-// shift-down removal preserves send order without reallocating.
-func (f *Fabric) retire(fl *flight) {
-	for i, cur := range f.inflight {
-		if cur == fl {
-			copy(f.inflight[i:], f.inflight[i+1:])
-			last := len(f.inflight) - 1
-			f.inflight[last] = nil
-			f.inflight = f.inflight[:last]
-			return
-		}
-	}
-	panic("proto: retiring a message that is not in flight")
-}
-
-// InFlight returns the messages currently in the network, in send order.
-// The coherence checker consults it (a cached copy is legitimately
-// untracked exactly while its invalidation is racing toward it), and the
-// model checker folds it into the machine-state fingerprint.
-func (f *Fabric) InFlight() []Msg {
-	out := make([]Msg, len(f.inflight))
-	for i, fl := range f.inflight {
-		out[i] = fl.m
-	}
-	return out
-}
-
 // invInFlight reports whether an invalidation for block b is on the wire
-// toward node id.
+// toward node id. A cached copy is legitimately untracked exactly while
+// its invalidation races toward it (see AgreementViolation).
 func (f *Fabric) invInFlight(b mem.Block, id mem.NodeID) bool {
-	for _, fl := range f.inflight {
-		if fl.m.Kind == MsgINV && fl.m.Block == b && fl.m.Dst == id {
-			return true
-		}
-	}
-	return false
+	return sim.AnyPending(f.Engine, invKey{b, id}, isInvFlight)
+}
+
+// invKey names the invalidations invInFlight looks for.
+type invKey struct {
+	b   mem.Block
+	dst mem.NodeID
+}
+
+// isInvFlight reports whether tag is an in-flight invalidation of k.b
+// addressed to k.dst.
+func isInvFlight(tag any, k invKey) bool {
+	fl, ok := tag.(*flight)
+	return ok && fl.m.Kind == MsgINV && fl.m.Block == k.b && fl.m.Dst == k.dst
 }
 
 // WorkerSetHist builds the Figure 6 histogram: for every block any home

@@ -200,7 +200,7 @@ func (h *HomeCtl) process(m Msg) {
 }
 
 // maxBatchedReads bounds a read handler's drain loop.
-var maxBatchedReads = 8
+const maxBatchedReads = 8
 
 // busy sends a retry reply.
 func (h *HomeCtl) busy(m Msg) {
@@ -275,7 +275,6 @@ func (h *HomeCtl) onDirect(m Msg) {
 // handler span).
 func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim.Cycle {
 	h.Traps++
-	h.f.Counters.Inc("home.traps")
 	done := h.f.Traps.Schedule(h.node, cost)
 	if h.f.Sink != nil {
 		h.f.emitHandler(h.node, t.b, t.r, name, cost, done)
@@ -420,7 +419,7 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	// rather than queueing behind unrelated handlers. The processor time
 	// is still accounted to the node.
 	cost := h.f.Soft.ReadBatched(b, r)
-	h.f.Counters.Inc("home.batched_reads")
+	h.f.Counts.BatchedReads++
 	h.f.Traps.Schedule(h.node, cost)
 	h.Traps++
 	h.chainEnd[b] += cost
@@ -566,7 +565,7 @@ func (h *HomeCtl) hwWrite(b mem.Block, e *dir.Entry, r mem.NodeID) {
 	for _, t := range targets {
 		h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 	}
-	h.f.Counters.Addc("home.hw_invalidations", uint64(len(targets)))
+	h.f.Counts.HWInvalidations += uint64(len(targets))
 	h.releaseInv(targets)
 }
 
@@ -599,7 +598,7 @@ func (h *HomeCtl) swWriteFault(b mem.Block, e *dir.Entry, r mem.NodeID) {
 		for _, t := range targets {
 			h.f.Send(Msg{Kind: MsgINV, Src: h.node, Dst: t, Block: b, Epoch: e.Epoch})
 		}
-		h.f.Counters.Addc("home.sw_invalidations", uint64(len(targets)))
+		h.f.Counts.SWInvalidations += uint64(len(targets))
 		h.releaseInv(targets)
 		if spec.AckMode == AckSW {
 			// Software fields every acknowledgment: the block stays
@@ -873,7 +872,7 @@ func (h *HomeCtl) onRel(m Msg, e *dir.Entry) {
 		if e.State == dir.Shared && e.Ptrs.Count() == 0 && !e.LocalBit && !e.SwExt {
 			e.State = dir.Uncached
 		}
-		h.f.Counters.Inc("home.checkins")
+		h.f.Counts.CheckIns++
 	case dir.Exclusive, dir.AckWait, dir.Recall, dir.SWait:
 		// Mid-transaction check-in: drop; the copy was already
 		// invalidated or is about to be.
@@ -889,6 +888,3 @@ func (h *HomeCtl) Entry(b mem.Block) *dir.Entry { return h.entry(b) }
 func (h *HomeCtl) forEachEntry(fn func(b mem.Block, maxSharers int)) {
 	h.dir.ForEach(func(b mem.Block, e *dir.Entry) { fn(b, e.MaxSharers) })
 }
-
-// SetMaxBatchedReads adjusts the read-batching bound (experiments only).
-func SetMaxBatchedReads(n int) { maxBatchedReads = n }

@@ -123,8 +123,8 @@ type Msg struct {
 	// RMW, when set on a DREQ, is applied atomically at the home: the
 	// word is read, transformed, and written in place; the reply carries
 	// the old value. Function-valued, so Msg must never be compared or
-	// used as a map key — the in-flight registry and snapshot layers
-	// never do.
+	// used as a map key — the checker's engine-queue walks and the
+	// snapshot layer never do.
 	RMW func(uint64) uint64
 }
 

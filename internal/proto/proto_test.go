@@ -114,10 +114,10 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 		}
 	}
 	// All readers' copies must have been invalidated and re-fetched.
-	if r.f.Counters.Get("msg.INV") == 0 {
+	if r.f.Counts.Sent[MsgINV] == 0 {
 		t.Fatal("no invalidations sent")
 	}
-	if r.f.Counters.Get("msg.ACK") == 0 {
+	if r.f.Counts.Sent[MsgACK] == 0 {
 		t.Fatal("no acknowledgments received")
 	}
 }
@@ -129,8 +129,10 @@ func TestFullMapNeverTraps(t *testing.T) {
 		r.read(n, a)
 	}
 	r.write(3, a, 1)
-	if got := r.f.Counters.Get("home.traps"); got != 0 {
-		t.Fatalf("full-map trapped %d times", got)
+	for i := 0; i < r.f.Nodes(); i++ {
+		if got := r.f.Home(mem.NodeID(i)).Traps; got != 0 {
+			t.Fatalf("full-map home %d trapped %d times", i, got)
+		}
 	}
 }
 
@@ -177,7 +179,7 @@ func TestLimitLESSWriteInvalidatesSoftwareSharers(t *testing.T) {
 		r.read(n, a)
 	}
 	r.write(7, a, 6)
-	if r.f.Counters.Get("home.sw_invalidations") == 0 {
+	if r.f.Counts.SWInvalidations == 0 {
 		t.Fatal("write fault sent no software invalidations")
 	}
 	e := r.f.Home(0).Entry(mem.BlockOf(a))
@@ -298,7 +300,7 @@ func TestBroadcastProtocol(t *testing.T) {
 		}
 	}
 	// Invalidations went to all 7 other nodes, cached or not.
-	if got := r.f.Counters.Get("home.sw_invalidations"); got != 7 {
+	if got := r.f.Counts.SWInvalidations; got != 7 {
 		t.Fatalf("broadcast sent %d invalidations, want 7", got)
 	}
 }
@@ -331,7 +333,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	a2 := a1 + 64*mem.WordsPerBlock // same set, 64-line cache
 	r.write(1, a1, 123)
 	r.read(1, a2) // evicts the dirty line for a1
-	if r.f.Counters.Get("msg.WB") == 0 {
+	if r.f.Counts.Sent[MsgWB] == 0 {
 		t.Fatal("dirty eviction sent no writeback")
 	}
 	if !r.engine.RunUntil(func() bool { return r.mem.Read(a1) == 123 }, 1_000_000) {
@@ -361,7 +363,11 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 	if got := r.read(0, a); got != 8 {
 		t.Fatalf("concurrent increments lost updates: %d, want 8", got)
 	}
-	if r.f.Counters.Get("cache.busy_retries") == 0 {
+	var retries uint64
+	for i := 0; i < r.f.Nodes(); i++ {
+		retries += r.f.Cache(mem.NodeID(i)).Retries
+	}
+	if retries == 0 {
 		t.Fatal("expected BUSY retries under write contention")
 	}
 }
@@ -662,7 +668,7 @@ func TestBatchReadsEnhancement(t *testing.T) {
 			t.Fatalf("burst read returned %d, want 9", v)
 		}
 	}
-	if r.f.Counters.Get("home.batched_reads") == 0 {
+	if r.f.Counts.BatchedReads == 0 {
 		t.Fatal("no reads were batched")
 	}
 	// The extended directory must have recorded every reader.
@@ -855,10 +861,10 @@ func TestMigratoryDetectionPromotesAndServes(t *testing.T) {
 		v := r.read(n, a)
 		r.write(n, a, v+1)
 	}
-	if got := r.f.Counters.Get("home.migratory_promotions"); got == 0 {
+	if got := r.f.Counts.MigratoryPromotions; got == 0 {
 		t.Fatal("migratory block never promoted")
 	}
-	if got := r.f.Counters.Get("home.migratory_read_grants"); got == 0 {
+	if got := r.f.Counts.MigratoryReadGrants; got == 0 {
 		t.Fatal("no reads served with ownership after promotion")
 	}
 	if got := r.read(5, a); got != 6 {
@@ -876,13 +882,13 @@ func TestMigratoryDemotesOnCleanRecall(t *testing.T) {
 		v := r.read(n, a)
 		r.write(n, a, v+1)
 	}
-	if r.f.Counters.Get("home.migratory_promotions") == 0 {
+	if r.f.Counts.MigratoryPromotions == 0 {
 		t.Fatal("setup: block not promoted")
 	}
 	// Now the access pattern turns read-shared: reads with no writes.
 	r.read(4, a) // exclusive grant (still promoted)
 	r.read(5, a) // recalls 4's clean copy -> demotion
-	if r.f.Counters.Get("home.migratory_demotions") == 0 {
+	if r.f.Counts.MigratoryDemotions == 0 {
 		t.Fatal("clean recall of a read grant did not demote")
 	}
 	// Subsequent reads are shared again: two simultaneous readers.
@@ -906,7 +912,7 @@ func TestMigratoryReducesTransactions(t *testing.T) {
 			v := r.read(n, a)
 			r.write(n, a, v+1)
 		}
-		return r.f.Counters.Get("msg.WREQ") + r.f.Counters.Get("msg.RREQ")
+		return r.f.Counts.Sent[MsgWREQ] + r.f.Counts.Sent[MsgRREQ]
 	}
 	off := hops(false)
 	on := hops(true)
@@ -935,12 +941,12 @@ func TestCheckInRetiresPointer(t *testing.T) {
 	if e.State != dir.Uncached {
 		t.Fatalf("state %v after last check-in, want Uncached", e.State)
 	}
-	if r.f.Counters.Get("home.checkins") != 1 {
+	if r.f.Counts.CheckIns != 1 {
 		t.Fatal("check-in not counted")
 	}
 	// The writer now invalidates nothing.
 	r.write(2, a, 5)
-	if got := r.f.Counters.Get("msg.INV"); got != 0 {
+	if got := r.f.Counts.Sent[MsgINV]; got != 0 {
 		t.Fatalf("write after check-in sent %d invalidations, want 0", got)
 	}
 }
@@ -963,14 +969,14 @@ func TestCheckInDirtyWritesBack(t *testing.T) {
 func TestCheckInAbsentIsNoop(t *testing.T) {
 	r := newRig(t, 4, FullMap())
 	a := r.mem.AllocOn(0, 1)
-	msgsBefore := r.f.Counters.Get("msg.REL")
+	msgsBefore := r.f.Counts.Sent[MsgREL]
 	done := false
 	r.f.Cache(1).CheckIn(a, func() { done = true })
 	r.engine.Run(0)
 	if !done {
 		t.Fatal("absent CheckIn never completed")
 	}
-	if r.f.Counters.Get("msg.REL") != msgsBefore {
+	if r.f.Counts.Sent[MsgREL] != msgsBefore {
 		t.Fatal("absent check-in sent a message")
 	}
 }
@@ -989,12 +995,12 @@ func TestCheckOutAcquiresOwnership(t *testing.T) {
 		t.Fatalf("state %v owner %d, want Exclusive owner 1", e.State, e.Owner)
 	}
 	// The subsequent read and write are pure local hits: no new requests.
-	reqs := r.f.Counters.Get("msg.RREQ") + r.f.Counters.Get("msg.WREQ")
+	reqs := r.f.Counts.Sent[MsgRREQ] + r.f.Counts.Sent[MsgWREQ]
 	if got := r.read(1, a); got != 9 {
 		t.Fatalf("read %d, want 9", got)
 	}
 	r.write(1, a, 10)
-	after := r.f.Counters.Get("msg.RREQ") + r.f.Counters.Get("msg.WREQ")
+	after := r.f.Counts.Sent[MsgRREQ] + r.f.Counts.Sent[MsgWREQ]
 	if after != reqs {
 		t.Fatalf("checked-out RMW sent %d extra requests, want 0", after-reqs)
 	}

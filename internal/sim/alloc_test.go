@@ -51,3 +51,28 @@ func TestSteadyStateSchedulingAllocs(t *testing.T) {
 		t.Fatal("caller never fired")
 	}
 }
+
+// TestAnyPendingAllocs pins the pending-tag walk at zero allocations: the
+// protocol checker runs it for every untracked cached copy at every
+// checked state, with a struct key and a plain match function.
+func TestAnyPendingAllocs(t *testing.T) {
+	type key struct{ lo, hi int }
+	e := NewEngine()
+	c := &nopCaller{}
+	for i := 0; i < 8; i++ {
+		e.AtCall(Cycle(i), i, c)
+	}
+	within := func(tag any, k key) bool {
+		v, ok := tag.(int)
+		return ok && v >= k.lo && v < k.hi
+	}
+	var found bool
+	if avg := testing.AllocsPerRun(200, func() {
+		found = AnyPending(e, key{6, 9}, within)
+	}); avg != 0 {
+		t.Errorf("AnyPending allocates %.2f per walk, want 0", avg)
+	}
+	if !found {
+		t.Fatal("AnyPending missed a pending tag")
+	}
+}

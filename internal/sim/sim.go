@@ -14,8 +14,9 @@
 //
 //   - Unkeyed (At, After, AtCall, ...): the key is a per-engine sequence
 //     number assigned at scheduling time, so same-cycle events fire in
-//     scheduling order. Standalone engine users (the litmus harness, the
-//     model checker) use this form.
+//     scheduling order. The model checker's world is the one in-tree
+//     user of this form; litmus runs go through machine.New and are
+//     owned like every machine.
 //   - Owned (OwnedAt, OwnedAtCall, ... after SetStreams): the key is
 //     (owner, cnt) where owner is the model entity — here, the node — on
 //     whose behalf the event is scheduled and cnt is drawn from the
@@ -378,6 +379,21 @@ func (e *Engine) PendingTagged() []TaggedEvent {
 		out[i] = TaggedEvent{At: e.slots[s].at, Tag: e.slots[s].tag}
 	}
 	return out
+}
+
+// AnyPending reports whether match(tag, key) holds for the tag of some
+// pending tagged event of e. It visits the events in no particular order
+// and allocates nothing: key carries the caller's query, so match can be
+// a plain function rather than a capturing closure, and an invariant
+// check can ask what is queued at every step.
+func AnyPending[K any](e *Engine, key K, match func(tag any, key K) bool) bool {
+	for i := 1; i < len(e.slots); i++ {
+		// A free slot's tag is nil (fire clears the slot).
+		if tag := e.slots[i].tag; tag != nil && match(tag, key) {
+			return true
+		}
+	}
+	return false
 }
 
 // NextTag returns the inspection tag of the event Step would fire next,

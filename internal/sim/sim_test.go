@@ -156,6 +156,35 @@ func TestEngineEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
+// TestAnyPending checks the pending-tag walk: it sees tagged events in
+// the wheel and the overflow heap, never untagged ones, and forgets an
+// event once it fires.
+func TestAnyPending(t *testing.T) {
+	e := NewEngine()
+	e.AtTagged(1, "near", func() {})
+	e.AtTagged(3*wheelSize, "far", func() {})
+	e.At(2, func() {})
+	is := func(tag any, want string) bool { return tag == want }
+	for _, want := range []string{"near", "far"} {
+		if !AnyPending(e, want, is) {
+			t.Fatalf("%q not found while pending", want)
+		}
+	}
+	AnyPending(e, "", func(tag any, _ string) bool {
+		if tag == nil {
+			t.Fatal("match saw an untagged event")
+		}
+		return false
+	})
+	e.Step()
+	if AnyPending(e, "near", is) {
+		t.Fatal("fired event still reported pending")
+	}
+	if !AnyPending(e, "far", is) {
+		t.Fatal("overflow event lost")
+	}
+}
+
 func TestServerNoContention(t *testing.T) {
 	var s Server
 	start := s.Reserve(100, 10)

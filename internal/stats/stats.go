@@ -1,5 +1,6 @@
 // Package stats provides the non-intrusive observation functions of the
-// simulator: counters, latency samples, and histograms. These correspond to
+// simulator: latency samples, handler ledgers and histograms (event counts
+// live where the events happen; see proto.Counts). These correspond to
 // the measurement machinery NWO provided for the paper's experiments —
 // software-handler latency tables (Tables 1 and 2), run-time ratios
 // (Figure 2), speedups (Figures 3–5), and the worker-set histogram
@@ -143,44 +144,6 @@ func (h *Hist) String() string {
 	var b strings.Builder
 	for _, k := range h.Buckets() {
 		fmt.Fprintf(&b, "%6d: %d\n", k, h.counts[k])
-	}
-	return b.String()
-}
-
-// Counters is a named set of monotonically increasing event counters.
-type Counters struct {
-	m map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
-
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { c.m[name]++ }
-
-// Addc adds n to the named counter.
-func (c *Counters) Addc(name string, n uint64) { c.m[name] += n }
-
-// Get returns the value of the named counter (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns all touched counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the counters one per line in sorted order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, k := range c.Names() {
-		fmt.Fprintf(&b, "%-40s %d\n", k, c.m[k])
 	}
 	return b.String()
 }

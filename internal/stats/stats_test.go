@@ -111,29 +111,6 @@ func TestHist(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("traps")
-	c.Inc("traps")
-	c.Addc("messages", 10)
-	if c.Get("traps") != 2 {
-		t.Fatalf("traps = %d, want 2", c.Get("traps"))
-	}
-	if c.Get("messages") != 10 {
-		t.Fatalf("messages = %d, want 10", c.Get("messages"))
-	}
-	if c.Get("absent") != 0 {
-		t.Fatal("absent counter should read 0")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "messages" || names[1] != "traps" {
-		t.Fatalf("Names = %v, want sorted [messages traps]", names)
-	}
-	if !strings.Contains(c.String(), "traps") {
-		t.Fatal("String() missing counter")
-	}
-}
-
 func TestActivityNames(t *testing.T) {
 	if ActTrapDispatch.String() != "trap dispatch" {
 		t.Fatalf("ActTrapDispatch = %q", ActTrapDispatch.String())

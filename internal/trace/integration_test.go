@@ -19,10 +19,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace fixtures")
 
-// runWorker runs the WORKER benchmark on a traced (or untraced) machine.
-func runWorker(t testing.TB, sink trace.Sink, nodes, set, iters int, spec proto.Spec) machine.Result {
+// runWorker runs the WORKER benchmark on a machine built from cfg; its
+// Trace field selects a traced or untraced run.
+func runWorker(t testing.TB, cfg machine.Config, set, iters int) machine.Result {
 	t.Helper()
-	m, err := machine.New(machine.Config{Nodes: nodes, Spec: spec, Trace: sink})
+	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestTraceDeterminism(t *testing.T) {
 	var exports [2]bytes.Buffer
 	for i := range exports {
 		sink := trace.NewCollector()
-		runWorker(t, sink, 8, 4, 3, proto.LimitLESS(2))
+		runWorker(t, machine.Config{Nodes: 8, Spec: proto.LimitLESS(2), Trace: sink}, 4, 3)
 		if err := trace.WritePerfetto(&exports[i], sink.Events(), 8); err != nil {
 			t.Fatal(err)
 		}
@@ -55,28 +56,44 @@ func TestTraceDeterminism(t *testing.T) {
 
 // TestDisabledTracingChangesNothing checks the zero-cost-when-disabled
 // contract on the simulation itself: installing a sink must not move a
-// single cycle or message count. Worker sets of 4 overflow LimitLESS(2)'s
-// two hardware pointers, so the run traps, and the sink must observe
-// every trap as one handler span.
+// single cycle or count. Worker sets of 4 overflow LimitLESS(2)'s two
+// hardware pointers, so the runs trap, and the sink must observe every
+// trap as one handler span. With BatchReads, piggybacked reads are traps
+// too: Result.Traps is the one count of them, and the sink must agree.
 func TestDisabledTracingChangesNothing(t *testing.T) {
-	off := runWorker(t, nil, 8, 4, 3, proto.LimitLESS(2))
-	sink := trace.NewCollector()
-	on := runWorker(t, sink, 8, 4, 3, proto.LimitLESS(2))
-	if off.Time != on.Time {
-		t.Fatalf("tracing moved the run time: %d vs %d cycles", off.Time, on.Time)
-	}
-	if off.Messages != on.Messages || off.Traps != on.Traps || off.BusyRetries != on.BusyRetries {
-		t.Fatalf("tracing moved the counters: msgs %d/%d traps %d/%d retries %d/%d",
-			off.Messages, on.Messages, off.Traps, on.Traps, off.BusyRetries, on.BusyRetries)
-	}
-	var handlers uint64
-	for _, e := range sink.Events() {
-		if e.Op == trace.OpHandler {
-			handlers++
-		}
-	}
-	if on.Traps == 0 || handlers != on.Traps {
-		t.Fatalf("sink observed %d handler spans for %d traps (want equal, non-zero)", handlers, on.Traps)
+	for _, tc := range []struct {
+		name  string
+		batch bool
+	}{{"LimitLESS2", false}, {"LimitLESS2-batch", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine.Config{Nodes: 8, Spec: proto.LimitLESS(2), BatchReads: tc.batch}
+			off := runWorker(t, cfg, 4, 3)
+			sink := trace.NewCollector()
+			cfg.Trace = sink
+			on := runWorker(t, cfg, 4, 3)
+			if off.Time != on.Time {
+				t.Fatalf("tracing moved the run time: %d vs %d cycles", off.Time, on.Time)
+			}
+			if off.Messages != on.Messages || off.Traps != on.Traps || off.BusyRetries != on.BusyRetries {
+				t.Fatalf("tracing moved the counters: msgs %d/%d traps %d/%d retries %d/%d",
+					off.Messages, on.Messages, off.Traps, on.Traps, off.BusyRetries, on.BusyRetries)
+			}
+			if off.Counts != on.Counts {
+				t.Fatalf("tracing moved the protocol counts:\n off %+v\n on  %+v", off.Counts, on.Counts)
+			}
+			if tc.batch && on.Counts.BatchedReads == 0 {
+				t.Fatal("no reads were batched")
+			}
+			var handlers uint64
+			for _, e := range sink.Events() {
+				if e.Op == trace.OpHandler {
+					handlers++
+				}
+			}
+			if on.Traps == 0 || handlers != on.Traps {
+				t.Fatalf("sink observed %d handler spans for %d traps (want equal, non-zero)", handlers, on.Traps)
+			}
+		})
 	}
 }
 
@@ -139,7 +156,7 @@ func TestGoldenPerfetto2Node(t *testing.T) {
 // configuration (WORKER, 16 nodes, Dir_nH_5S_NB, flexible C software).
 func TestProfileMatchesTable2(t *testing.T) {
 	sink := trace.NewCollector()
-	res := runWorker(t, sink, 16, 8, 10, proto.LimitLESS(5))
+	res := runWorker(t, machine.Config{Nodes: 16, Spec: proto.LimitLESS(5), Trace: sink}, 8, 10)
 	prof := trace.Summarize(trace.Attribute(sink.Events()))
 
 	within := func(what string, got, want, tol float64) {
