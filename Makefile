@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
+.PHONY: all build test fmt lint vet race check mc mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
 
 all: build test
 
@@ -11,6 +11,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fmt fails when any Go file in the tree is not gofmt-clean, listing it.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the repository's own static-analysis suite (cmd/swexlint):
 # determinism, exhaustive-enum, cycle-math, and panic-hygiene rules over
@@ -133,4 +137,4 @@ trace-smoke:
 	  $(GO) run ./cmd/swexrun -worker 4 -iters 2 -nodes 4 -protocol dls -export $$d/dls.json >/dev/null && \
 	  rm -rf $$d
 
-check: vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke
+check: fmt vet lint test race mc-smoke mc-por-smoke trace-smoke sweep-smoke swexd-smoke fuzz-smoke memtier-smoke

@@ -11,6 +11,14 @@
 // processor side of the memory system, by implementing victim caches or by
 // building set-associative caches" (Section 8). Alewife's own remedy is
 // the victim cache built from transaction-store buffers (Jouppi-style).
+//
+// The 64 Kbyte geometry is 4,096 lines, but storage scales with what a
+// run touches: the line array is a table of at most 64 pages (64 sets
+// each at that geometry), and a page is allocated on the first store into
+// one of its sets. Lookup, Peek and Invalidate read an absent page as all
+// invalid, so a miss never allocates; only Insert and a victim-cache
+// promotion materialize a page. A litmus machine that touches a handful
+// of blocks thus holds a few pages per node instead of all 4,096 lines.
 package cache
 
 import (
@@ -19,8 +27,10 @@ import (
 	"swex/internal/mem"
 )
 
-// LineState is the cache-side coherence state of a line (MSI).
-type LineState int
+// LineState is the cache-side coherence state of a line (MSI). It is a
+// byte so that State and Dirty share one word: a Line is 48 bytes, and a
+// 64-line page (3 KB) is an exact heap size class.
+type LineState uint8
 
 const (
 	// Invalid means the slot holds no valid line.
@@ -85,14 +95,25 @@ type Stats struct {
 // Cache is one node's cache hierarchy. It is a passive structure: all
 // timing and protocol interaction lives in the cache controller
 // (internal/proto); this package answers "is it here, and what fell out".
+//
+// The set array is paged (see the package doc): pages[p] holds the ways
+// of sets [p<<pageShift, (p+1)<<pageShift), way 0 of each set most
+// recently used, and stays nil, all ways invalid, until first written.
 type Cache struct {
-	cfg    Config
-	ways   int
-	sets   int
-	slots  []Line // sets*ways lines; within a set, index 0 is MRU
-	victim []Line // fully associative, LRU order: index 0 = most recent
-	Stats  Stats
+	cfg       Config
+	ways      int
+	sets      int
+	pageShift uint // log2(sets per page)
+	pageMask  int  // sets per page - 1
+	pages     [maxPages][]Line
+	victim    []Line // fully associative, LRU order: index 0 = most recent
+	Stats     Stats
 }
+
+// maxPages bounds the inline page table. A page holds the smallest power
+// of two of sets that covers the cache in this many pages: 64 sets
+// (3 KB) for the Alewife geometry.
+const maxPages = 64
 
 // New builds a cache. It panics on degenerate geometry: cache shape is
 // fixed at machine construction.
@@ -107,21 +128,50 @@ func New(cfg Config) *Cache {
 	if cfg.Lines%ways != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", cfg.Lines, ways))
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:    cfg,
 		ways:   ways,
 		sets:   cfg.Lines / ways,
-		slots:  make([]Line, cfg.Lines),
 		victim: make([]Line, 0, cfg.VictimLines),
 	}
+	for c.sets > maxPages<<c.pageShift {
+		c.pageShift++
+	}
+	c.pageMask = 1<<c.pageShift - 1
+	return c
 }
 
-// Set returns the set index for a block.
-func (c *Cache) Set(b mem.Block) int { return int(uint64(b) % uint64(c.sets)) }
+// Set returns the set index for a block. Power-of-two set counts, which
+// every exhibit's geometry has, take a mask instead of a division; that
+// pays for the page-table step set adds to each lookup.
+func (c *Cache) Set(b mem.Block) int {
+	if n := uint64(c.sets); n&(n-1) == 0 {
+		return int(uint64(b) & (n - 1))
+	}
+	return int(uint64(b) % uint64(c.sets))
+}
 
-// set returns the ways of a set as a slice (index 0 = most recently used).
+// set returns the ways of a set as a slice (index 0 = most recently
+// used), or nil while the set's page has never been written: every way
+// invalid. It never allocates.
 func (c *Cache) set(idx int) []Line {
-	return c.slots[idx*c.ways : (idx+1)*c.ways]
+	// Both masks are no-ops on valid input; they let the compiler drop
+	// the oversized-shift and bounds checks from this hot path.
+	page := c.pages[(idx>>(c.pageShift&63))&(maxPages-1)]
+	if page == nil {
+		return nil
+	}
+	off := (idx & c.pageMask) * c.ways
+	return page[off : off+c.ways]
+}
+
+// materialize allocates the page of set idx, all ways invalid, on the
+// first store into it, and returns the set.
+func (c *Cache) materialize(idx int) []Line {
+	p := idx >> c.pageShift
+	n := min(c.pageMask+1, c.sets-p<<c.pageShift)
+	c.pages[p] = make([]Line, n*c.ways)
+	return c.set(idx)
 }
 
 // findWay locates b within its set, returning the way index or -1.
@@ -153,7 +203,8 @@ func touch(set []Line, w int) {
 //
 //swex:hotpath
 func (c *Cache) Lookup(b mem.Block, instruction bool) (*Line, bool) {
-	set := c.set(c.Set(b))
+	idx := c.Set(b)
+	set := c.set(idx)
 	if w := c.findWay(set, b); w >= 0 {
 		touch(set, w)
 		c.countHit(instruction, false)
@@ -166,6 +217,9 @@ func (c *Cache) Lookup(b mem.Block, instruction bool) (*Line, bool) {
 			// Swap: the victim line returns to its set (evicting the
 			// set's LRU way into the victim cache if the set is full).
 			promoted := c.victim[i]
+			if set == nil {
+				set = c.materialize(idx)
+			}
 			lru := len(set) - 1
 			if set[lru].State != Invalid {
 				c.victim[i] = set[lru]
@@ -216,7 +270,11 @@ func (c *Cache) touchVictim(i int) {
 //
 //swex:hotpath
 func (c *Cache) Insert(l Line) (evicted Line, wasEvicted bool) {
-	set := c.set(c.Set(l.Block))
+	idx := c.Set(l.Block)
+	set := c.set(idx)
+	if set == nil {
+		set = c.materialize(idx)
+	}
 	if w := c.findWay(set, l.Block); w >= 0 {
 		// Refill of a resident block (e.g. upgrade): overwrite in place.
 		set[w] = l
@@ -307,9 +365,11 @@ func (c *Cache) Peek(b mem.Block) (Line, bool) {
 // Resident reports how many valid lines the hierarchy holds (testing aid).
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.slots {
-		if c.slots[i].State != Invalid {
-			n++
+	for _, page := range c.pages {
+		for i := range page {
+			if page[i].State != Invalid {
+				n++
+			}
 		}
 	}
 	for i := range c.victim {
@@ -326,11 +386,13 @@ func (c *Cache) Resident() int {
 // is first set, and by tests.
 func (c *Cache) Flush() []Line {
 	var dirty []Line
-	for i := range c.slots {
-		if c.slots[i].State != Invalid && c.slots[i].Dirty {
-			dirty = append(dirty, c.slots[i])
+	for _, page := range c.pages {
+		for i := range page {
+			if page[i].State != Invalid && page[i].Dirty {
+				dirty = append(dirty, page[i])
+			}
+			page[i] = Line{}
 		}
-		c.slots[i] = Line{}
 	}
 	for i := range c.victim {
 		if c.victim[i].State != Invalid && c.victim[i].Dirty {

@@ -262,9 +262,11 @@ func TestPropertyNoDuplicateResidency(t *testing.T) {
 			}
 			// Count residency of b across the hierarchy.
 			count := 0
-			for i := range c.slots {
-				if c.slots[i].State != Invalid && c.slots[i].Block == b {
-					count++
+			for _, page := range c.pages {
+				for i := range page {
+					if page[i].State != Invalid && page[i].Block == b {
+						count++
+					}
 				}
 			}
 			for i := range c.victim {

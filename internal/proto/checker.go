@@ -182,11 +182,12 @@ func (f *Fabric) QuiescenceViolation(blocks []mem.Block) string {
 		default:
 			panic(fmt.Sprintf("proto: checker: unknown directory state %d", int(e.State)))
 		}
-		if n := h.swReads[b]; n > 0 {
-			return fmt.Sprintf("block %d has %d read-handler segments outstanding", b, n)
+		rb := h.batches[b]
+		if rb.segments > 0 {
+			return fmt.Sprintf("block %d has %d read-handler segments outstanding", b, rb.segments)
 		}
-		if r, queued := h.pendingWrite[b]; queued {
-			return fmt.Sprintf("block %d has a queued write from node %d never serviced", b, r)
+		if rb.queued {
+			return fmt.Sprintf("block %d has a queued write from node %d never serviced", b, rb.pendingWrite)
 		}
 	}
 	return ""

@@ -29,21 +29,9 @@ type HomeCtl struct {
 	// (LACK) or run entirely in hardware.
 	swTxn map[mem.Block]bool
 
-	// swReads counts read-handler segments outstanding per block: while
-	// a read-overflow handler runs, further read requests piggyback on
-	// it (the handler drains the CMMU queue before returning) instead of
-	// being busied, each adding an incremental cost segment. Batching is
-	// bounded: an unbounded drain loop under continuous read pressure
-	// would hold the block in SWait indefinitely and starve writers, so
-	// the chain is capped and suspended once a write has been bounced.
-	swReads    map[mem.Block]int
-	batchUntil map[mem.Block]sim.Cycle
-	chainEnd   map[mem.Block]sim.Cycle
-	// pendingWrite holds one write request that arrived while a read
-	// chain was draining; the handler loop processes it when the chain
-	// ends, exactly as a queued WREQ would be processed by the real
-	// handler's message-drain loop. Further writers are busied.
-	pendingWrite map[mem.Block]mem.NodeID
+	// batches holds the running read-handler chain of each block that
+	// has one (see readBatch); a block is absent once its chain ends.
+	batches map[mem.Block]readBatch
 
 	// overrides holds per-block protocol reconfigurations (Alewife
 	// supports protocol selection block by block, paper Section 3.1;
@@ -88,19 +76,35 @@ type HomeCtl struct {
 	StrayAcks uint64
 }
 
+// readBatch is one block's read-handler chain. While a read-overflow
+// handler runs, further read requests piggyback on it (the handler drains
+// the CMMU queue before returning) instead of being busied, each adding an
+// incremental cost segment. Batching is bounded: an unbounded drain loop
+// under continuous read pressure would hold the block in SWait
+// indefinitely and starve writers, so the chain is capped and suspended
+// once a write has been bounced.
+type readBatch struct {
+	segments int       // read-handler segments outstanding
+	until    sim.Cycle // requests arriving from here on retry instead
+	chainEnd sim.Cycle // completion of the chain's last segment
+	// pendingWrite (valid when queued) is one write request that arrived
+	// while the chain was draining; the handler loop processes it when
+	// the chain ends, exactly as a queued WREQ would be processed by the
+	// real handler's message-drain loop. Further writers are busied.
+	pendingWrite mem.NodeID
+	queued       bool
+}
+
 func newHomeCtl(f *Fabric, node mem.NodeID) *HomeCtl {
 	h := &HomeCtl{
-		f:            f,
-		node:         node,
-		dir:          dir.New(f.Spec.PointerCapacity(f.Net.Nodes())),
-		swTxn:        make(map[mem.Block]bool),
-		swReads:      make(map[mem.Block]int),
-		batchUntil:   make(map[mem.Block]sim.Cycle),
-		chainEnd:     make(map[mem.Block]sim.Cycle),
-		pendingWrite: make(map[mem.Block]mem.NodeID),
-		overrides:    make(map[mem.Block]Spec),
-		mig:          make(map[mem.Block]*migState),
-		invSeen:      make([]uint32, f.Net.Nodes()),
+		f:         f,
+		node:      node,
+		dir:       dir.New(f.Spec.PointerCapacity(f.Net.Nodes())),
+		swTxn:     make(map[mem.Block]bool),
+		batches:   make(map[mem.Block]readBatch),
+		overrides: make(map[mem.Block]Spec),
+		mig:       make(map[mem.Block]*migState),
+		invSeen:   make([]uint32, f.Net.Nodes()),
 	}
 	h.invAddFn = h.invAdd
 	return h
@@ -289,10 +293,10 @@ func (h *HomeCtl) trap(t *trapTag, name string, cost sim.Cycle, then func()) sim
 func (h *HomeCtl) onRead(m Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
-		_, writeQueued := h.pendingWrite[m.Block]
-		if h.f.BatchReads && e.State == dir.SWait && h.swReads[m.Block] > 0 &&
-			!writeQueued && h.swReads[m.Block] < maxBatchedReads &&
-			h.f.Engine.Now() < h.batchUntil[m.Block] {
+		rb := h.batches[m.Block]
+		if h.f.BatchReads && e.State == dir.SWait && rb.segments > 0 &&
+			!rb.queued && rb.segments < maxBatchedReads &&
+			h.f.Engine.Now() < rb.until {
 			// A read-overflow handler is already running for this
 			// block: piggyback on it instead of bouncing the request.
 			h.swRead(m.Block, e, m.Src, nil)
@@ -375,8 +379,10 @@ func (h *HomeCtl) addReader(b mem.Block, e *dir.Entry, r mem.NodeID) {
 // LimitLESS protocols the hardware transmits the data immediately; the
 // software-only directory transmits it from the handler.
 func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.NodeID) {
-	first := h.swReads[b] == 0
-	h.swReads[b]++
+	rb := h.batches[b]
+	first := rb.segments == 0
+	rb.segments++
+	h.batches[b] = rb
 	e.State = dir.SWait
 	swOnly := h.specFor(b).SoftwareOnly
 	if !swOnly {
@@ -386,20 +392,20 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 		if swOnly {
 			h.sendData(MsgRDATA, r, b)
 		}
-		h.swReads[b]--
-		if h.swReads[b] == 0 {
-			delete(h.swReads, b)
-			delete(h.batchUntil, b)
-			delete(h.chainEnd, b)
-			e.SwExt = true
-			e.SwCount = len(h.f.Soft.SharersOf(b))
-			e.State = dir.Shared
-			h.noteSharers(b, e)
-			if w, ok := h.pendingWrite[b]; ok {
-				// Drain the queued write in order.
-				delete(h.pendingWrite, b)
-				h.dispatchWrite(b, e, w)
-			}
+		rb := h.batches[b]
+		rb.segments--
+		if rb.segments > 0 {
+			h.batches[b] = rb
+			return
+		}
+		delete(h.batches, b)
+		e.SwExt = true
+		e.SwCount = len(h.f.Soft.SharersOf(b))
+		e.State = dir.Shared
+		h.noteSharers(b, e)
+		if rb.queued {
+			// Drain the queued write in order.
+			h.dispatchWrite(b, e, rb.pendingWrite)
 		}
 	}
 	if first {
@@ -410,8 +416,8 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 		// later retries. This absorbs the all-nodes-read-at-once bursts
 		// of data-parallel phases without letting staggered readers
 		// chain the block into a perpetual SWait that starves writers.
-		h.batchUntil[b] = done
-		h.chainEnd[b] = done
+		rb.until, rb.chainEnd = done, done
+		h.batches[b] = rb
 		return
 	}
 	// Piggybacked request: the running handler records it as part of its
@@ -422,13 +428,14 @@ func (h *HomeCtl) swRead(b mem.Block, e *dir.Entry, r mem.NodeID, drained []mem.
 	h.f.Counts.BatchedReads++
 	h.f.Traps.Schedule(h.node, cost)
 	h.Traps++
-	h.chainEnd[b] += cost
+	rb.chainEnd += cost
+	h.batches[b] = rb
 	if h.f.Sink != nil {
-		h.f.emitHandler(h.node, b, r, "read-batched", cost, h.chainEnd[b])
+		h.f.emitHandler(h.node, b, r, "read-batched", cost, rb.chainEnd)
 	}
 	t := h.grabTrap(trapReadBatch, b, r)
 	t.then = finish
-	h.f.Engine.OwnedAtCall(int(h.node), h.chainEnd[b], t, t)
+	h.f.Engine.OwnedAtCall(int(h.node), rb.chainEnd, t, t)
 }
 
 // h0Read services a read under the software-only directory.
@@ -484,14 +491,14 @@ func (h *HomeCtl) flushLocal(b mem.Block, e *dir.Entry, r mem.NodeID, write bool
 func (h *HomeCtl) onWrite(m Msg, e *dir.Entry) {
 	switch e.State {
 	case dir.SWait, dir.AckWait, dir.Recall:
-		if h.f.BatchReads && e.State == dir.SWait && h.swReads[m.Block] > 0 {
-			if _, queued := h.pendingWrite[m.Block]; !queued {
-				// The read handler's drain loop will process this
-				// write when the chain ends, preserving queue order
-				// instead of starving the writer with retries.
-				h.pendingWrite[m.Block] = m.Src
-				return
-			}
+		if rb := h.batches[m.Block]; h.f.BatchReads && e.State == dir.SWait &&
+			rb.segments > 0 && !rb.queued {
+			// The read handler's drain loop will process this write
+			// when the chain ends, preserving queue order instead of
+			// starving the writer with retries.
+			rb.pendingWrite, rb.queued = m.Src, true
+			h.batches[m.Block] = rb
+			return
 		}
 		h.busy(m)
 		return
@@ -824,21 +831,16 @@ func (h *HomeCtl) onWB(m Msg, e *dir.Entry) {
 // noteSharers refreshes the block's worker-set maximum. When a software
 // extension exists, hardware pointers may name nodes that are also in the
 // software list (a drained reader that was invalidated, evicted, and
-// re-read), so the count is the deduplicated union, not the sum.
+// re-read), so the count is the deduplicated union, not the sum: the
+// invalidation target set for a requester that is no node.
 func (h *HomeCtl) noteSharers(b mem.Block, e *dir.Entry) {
 	if !e.SwExt || h.f.Soft == nil {
 		e.NoteSharers()
 		return
 	}
-	seen := make(map[mem.NodeID]bool)
-	for _, id := range h.f.Soft.SharersOf(b) {
-		seen[id] = true
-	}
-	e.Ptrs.ForEach(func(id mem.NodeID) { seen[id] = true })
-	n := len(seen)
-	if e.LocalBit && !seen[h.node] {
-		n++
-	}
+	holders := h.invTargets(b, e, -1, false)
+	n := len(holders)
+	h.releaseInv(holders)
 	if e.State == dir.Exclusive || e.State == dir.Recall {
 		n++
 	}

@@ -58,9 +58,10 @@ func (f *Fabric) snapBlock(buf *bytes.Buffer, b mem.Block) {
 			int(e.State), e.Ptrs.List(), e.LocalBit, e.Owner, e.AckCount,
 			e.Req, e.ReqWrite, e.SwExt, e.RemoteBit, e.BroadcastBit)
 	}
-	fmt.Fprintf(buf, " swtxn=%v swr=%d", h.swTxn[b], h.swReads[b])
-	if w, ok := h.pendingWrite[b]; ok {
-		fmt.Fprintf(buf, " pw=%d", w)
+	rb := h.batches[b]
+	fmt.Fprintf(buf, " swtxn=%v swr=%d", h.swTxn[b], rb.segments)
+	if rb.queued {
+		fmt.Fprintf(buf, " pw=%d", rb.pendingWrite)
 	}
 	if st, ok := h.mig[b]; ok && f.MigratoryDetect {
 		fmt.Fprintf(buf, " mig=%d/%v/%d/%v/%v",
